@@ -1,5 +1,5 @@
-"""Wall-clock benchmark gate: batched vs paged round execution, the
-zero-copy mmap store, and the multiprocess host backend.
+"""Wall-clock benchmark gate: batched vs paged round execution and the
+zero-copy mmap store.
 
 Unlike the ``bench_fig*`` harnesses, which report *simulated* seconds,
 this script measures real host wall-clock for the host-side options of
@@ -17,18 +17,12 @@ paged path it pays the database scatter-index cache fill), the rest as
 Cold numbers are reported separately rather than mixed in, because the
 plan build amortises across every later run on the same topology.
 
-Two further cells measure the PR-8 host optimisations on a saved copy
-of the dataset (8 KiB pages — wide enough that vectorized decode, not
-per-page Python overhead, dominates):
-
-* ``store_modes`` — a full eager :func:`load_database` versus a
-  ``mode="mmap"`` open plus a complete page scan (what a cold query
-  actually pays before its first round).  Gated by
-  ``--min-mmap-speedup``.
-* ``backends`` — serial versus ``backend="process"`` batched PageRank
-  over the mapped store.  Gated by ``--min-process-speedup``, enforced
-  only on multi-core hosts (a single-core runner records the numbers
-  and marks the gate skipped).
+A further ``store_modes`` cell measures the zero-copy store on a saved
+copy of the dataset (8 KiB pages — wide enough that vectorized decode,
+not per-page Python overhead, dominates): a full eager
+:func:`load_database` versus a ``mode="mmap"`` open plus a complete page
+scan (what a cold query actually pays before its first round).  Gated
+by ``--min-mmap-speedup``.
 
 Every pair of runs is also checked for bit-identical simulated time and
 algorithm output — a speedup that changes answers is a bug, not a win.
@@ -68,8 +62,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_OUT = os.path.join(ROOT, "BENCH_wallclock.json")
 DEFAULT_HISTORY = os.path.join(ROOT, "BENCH_history.jsonl")
 DATASET_CACHE = os.path.join(ROOT, "benchmarks", ".dataset_cache")
-#: Page size for the store/backend cells: large pages amortise the
-#: per-page decode overhead, so the cells measure byte movement and
+#: Page size for the store cell: large pages amortise the
+#: per-page decode overhead, so the cell measures byte movement and
 #: parse vectorization rather than Python call dispatch.
 STORE_CELL_PAGE_SIZE = 8192
 
@@ -213,49 +207,6 @@ def bench_store_modes(prefix, repeats):
     }
 
 
-def bench_backends(prefix, iterations, repeats, workers):
-    """Backend cell: serial versus process-sharded batched PageRank
-    over the mapped store, one engine per backend, pools reused across
-    the warm repeats."""
-    machine = scaled_workstation(num_gpus=2, num_ssds=2)
-    times, results = {}, {}
-    for backend in ("serial", "process"):
-        db = FileBackedDatabase(prefix, pool_pages=4096, mode="mmap")
-        engine = GTSEngine(db, machine, execution="batched",
-                           backend=backend, backend_workers=workers)
-        wall = []
-        try:
-            for _ in range(1 + repeats):
-                start = time.perf_counter()
-                results[backend] = engine.run(
-                    PageRankKernel(iterations=iterations))
-                wall.append(time.perf_counter() - start)
-        finally:
-            engine.close()
-            db.close()
-        times[backend] = summarize_samples(wall)
-    serial, process = results["serial"], results["process"]
-    identical = (
-        serial.elapsed_seconds == process.elapsed_seconds
-        and all(np.array_equal(serial.values[k], process.values[k])
-                for k in serial.values))
-    return {
-        "protocol": "batched PageRank on the mmap store, serial vs "
-                    "backend='process' (1 cold + N warm runs per "
-                    "backend on one engine; the cold process run pays "
-                    "the worker fork)",
-        "cpu_count": os.cpu_count(),
-        "workers": workers,
-        "iterations": iterations,
-        "serial": times["serial"],
-        "process": times["process"],
-        "speedup_best": round(times["serial"]["best_seconds"]
-                              / times["process"]["best_seconds"], 2),
-        "simulated_elapsed_seconds": serial.elapsed_seconds,
-        "bit_identical": bool(identical),
-    }
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description="wall-clock gate for batched vs paged execution")
@@ -278,16 +229,6 @@ def main(argv=None):
                         help="fail if the mmap open+scan is not at least "
                              "X times faster than the eager load "
                              "(default: report only; CI passes 3.0)")
-    parser.add_argument("--min-process-speedup", type=float, default=None,
-                        metavar="X",
-                        help="fail if process-backend PageRank is not at "
-                             "least X times faster than serial (default: "
-                             "report only; CI passes 1.8; skipped with a "
-                             "note on single-core hosts)")
-    parser.add_argument("--backend-workers", type=int, default=None,
-                        metavar="N",
-                        help="worker processes for the backend cell "
-                             "(default: cores minus one, capped at 8)")
     parser.add_argument("--out", default=DEFAULT_OUT,
                         help="where to write the JSON report")
     parser.add_argument("--history", default=DEFAULT_HISTORY,
@@ -395,18 +336,6 @@ def main(argv=None):
              store_cell["speedup_best"], store_cell["speedup_cold"]))
     report["store_modes"] = store_cell
 
-    print("== backends (serial vs process) ==")
-    from repro.core.parallel import default_workers
-    workers = args.backend_workers or default_workers()
-    backend_cell = bench_backends(store_prefix, args.iterations,
-                                  args.repeats, workers)
-    ok = ok and backend_cell["bit_identical"]
-    print("  serial best %.2fs | process best %.2fs (%d workers, %s "
-          "cpus) | speedup %.2fx"
-          % (backend_cell["serial"]["best_seconds"],
-             backend_cell["process"]["best_seconds"],
-             workers, backend_cell["cpu_count"],
-             backend_cell["speedup_best"]))
 
     report["headline_speedup"] = headline_speedup
     report["min_speedup_gate"] = args.min_speedup
@@ -421,23 +350,7 @@ def main(argv=None):
     else:
         store_cell["gate"] = "report only"
 
-    backend_cell["min_speedup_gate"] = args.min_process_speedup
-    process_ok = True
-    single_core = (backend_cell["cpu_count"] or 1) < 2
-    if args.min_process_speedup is None:
-        backend_cell["gate"] = "report only"
-    elif single_core:
-        # Workers timeshare one core with the parent: no speedup is
-        # physically available, so record the numbers without gating.
-        backend_cell["gate"] = "skipped (single core)"
-    else:
-        process_ok = (backend_cell["speedup_best"]
-                      >= args.min_process_speedup)
-        backend_cell["gate"] = "passed" if process_ok else "failed"
-    report["backends"] = backend_cell
-
-    report["gate_passed"] = bool(ok and gate_ok and mmap_ok
-                                 and process_ok)
+    report["gate_passed"] = bool(ok and gate_ok and mmap_ok)
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=False)
         handle.write("\n")
@@ -464,14 +377,8 @@ def main(argv=None):
               % (store_cell["speedup_best"], args.min_mmap_speedup),
               file=sys.stderr)
         return 1
-    if not process_ok:
-        print("FAIL: process backend speedup %.2fx below gate %.2fx"
-              % (backend_cell["speedup_best"], args.min_process_speedup),
-              file=sys.stderr)
-        return 1
-    print("gate passed: %.2fx >= %.2fx (mmap %s, process backend %s)"
-          % (headline_speedup, args.min_speedup,
-             store_cell["gate"], backend_cell["gate"]))
+    print("gate passed: %.2fx >= %.2fx (mmap %s)"
+          % (headline_speedup, args.min_speedup, store_cell["gate"]))
     return 0
 
 

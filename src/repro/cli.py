@@ -165,17 +165,6 @@ def build_parser():
                               "without one), 'paged' the per-page loop, "
                               "'auto' picks per kernel")
         sub.add_argument("--no-cache", action="store_true")
-        sub.add_argument("--backend", choices=("serial", "process"),
-                         default="serial",
-                         help="host execution backend: 'process' shards "
-                              "each round's segment reduction across a "
-                              "forked worker pool (results bit-identical "
-                              "to serial; needs a sharded kernel and the "
-                              "batched path)")
-        sub.add_argument("--backend-workers", type=int, default=None,
-                         metavar="N",
-                         help="worker processes for --backend process "
-                              "(default: cores minus one, capped at 8)")
         sub.add_argument("--io-merge", action="store_true",
                          help="coalesce adjacent page misses per round "
                               "into ranged storage fetches; changes the "
@@ -456,12 +445,6 @@ def build_parser():
     query.add_argument("--execution",
                        choices=("auto", "paged", "batched"),
                        default=None)
-    query.add_argument("--backend", choices=("serial", "process"),
-                       default=None,
-                       help="host execution backend for this query "
-                            "(process shards reductions across the "
-                            "service's per-database worker pool)")
-    query.add_argument("--backend-workers", type=int, default=None)
     query.add_argument("--io-merge", action="store_true",
                        help="coalesce adjacent page misses into ranged "
                             "fetches for this query")
@@ -567,18 +550,12 @@ def _execute_run(args, tracing=False):
                        enable_caching=not args.no_cache,
                        tracing=tracing,
                        execution=getattr(args, "execution", "auto"),
-                       backend=getattr(args, "backend", "serial"),
-                       backend_workers=getattr(args, "backend_workers",
-                                               None),
                        io_merge=getattr(args, "io_merge", False),
                        faults=faults,
                        fault_seed=getattr(args, "fault_seed", None),
                        host_profile=profiler if profiler is not None
                        else False)
-    try:
-        result = engine.run(kernel, dataset_name=name)
-    finally:
-        engine.close()  # drains any process-backend worker pools
+    result = engine.run(kernel, dataset_name=name)
     if profiler is not None:
         # The engine snapshotted the externally-owned profiler; stop
         # tracemalloc now that the measurement is over.
@@ -1059,10 +1036,6 @@ def _command_query(args):
         options["num_gpus"] = args.gpus
     if args.execution:
         options["execution"] = args.execution
-    if args.backend:
-        options["backend"] = args.backend
-    if args.backend_workers is not None:
-        options["backend_workers"] = args.backend_workers
     if args.io_merge:
         options["io_merge"] = True
     if args.timeout_ms is not None:

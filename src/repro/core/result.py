@@ -88,8 +88,6 @@ class RunResult:
     cache_policy: str = "lru"
     #: Which round-execution path actually ran: "paged" or "batched".
     execution: str = "paged"
-    #: Host compute backend the engine ran with: "serial" or "process".
-    backend: str = "serial"
     engine: str = "GTS"
     notes: Optional[str] = None
     #: Figure 4-style ASCII stream timeline (populated when the engine
@@ -252,7 +250,6 @@ class RunResult:
             "query_id": self.query_id,
             "snapshot_version": self.snapshot_version,
             "execution": self.execution,
-            "backend": self.backend,
             "transfer_busy_seconds": self.transfer_busy_seconds,
             "kernel_busy_seconds": self.kernel_busy_seconds,
             "kernel_stream_seconds": self.kernel_stream_seconds,

@@ -751,15 +751,6 @@ class DynamicGraphDatabase(GraphDatabase):
         with self._version_lock:
             return sorted(self._pins)
 
-    def live_versions(self):
-        """Pinned versions plus the head — everything reclamation must
-        keep (the :class:`~repro.core.parallel.WorkerPoolRegistry`
-        eviction hook)."""
-        with self._version_lock:
-            live = set(self._pins)
-            live.add(self.topology_version)
-            return sorted(live)
-
     def _reclaim_locked(self):
         """Drop versions that are neither head nor pinned (epoch-based
         reclamation); prune their scatter entries and retire bases no
@@ -968,7 +959,7 @@ class Snapshot(GraphDatabase):
     the engine runs whole queries against it exactly as against the
     head, and its ``topology_version`` is the pinned version, so every
     version-keyed cache in the stack (shared page cache, round-plan
-    cache, scatter indexes, worker pools) serves versions side by side.
+    cache, scatter indexes) serves versions side by side.
 
     The view holds *references* into the owner's frozen
     :class:`_VersionState` — construction copies nothing but a
@@ -1037,9 +1028,6 @@ class Snapshot(GraphDatabase):
 
     def pinned_versions(self):
         return self._owner.pinned_versions()
-
-    def live_versions(self):
-        return self._owner.live_versions()
 
     def release(self):
         """Drop this snapshot's pin (idempotent; no-op when unpinned).

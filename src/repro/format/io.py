@@ -670,8 +670,8 @@ class FileBackedDatabase(GraphDatabase):
         """One raw page read; a fault injector may corrupt the result.
 
         ``os.pread`` on the persistent descriptor: offset-explicit, so
-        concurrent readers (threads or forked worker processes sharing
-        the descriptor) never race on a seek position.
+        concurrent reader threads sharing the descriptor never race on
+        a seek position.
         """
         data = os.pread(self._fd, self.config.page_size,
                         page_id * self.config.page_size)

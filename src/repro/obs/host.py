@@ -8,8 +8,8 @@ page parsing in :mod:`repro.format.io`, scatter-index builds in
 :mod:`repro.format.database`, plan construction in
 :mod:`repro.core.plan`, dispatch in :mod:`repro.core.streams`, kernel
 ``process_batch`` calls, and the engine's own setup/round loop.  That
-is exactly the axis ROADMAP item 4 (zero-copy mmap store, parallel
-host backend) must optimize, and it needs a measured baseline.
+is the axis host-side optimisations (batched execution, the zero-copy
+mmap store) must move, and they need a measured baseline.
 
 A :class:`HostProfiler` keeps one stack of nested phase spans timed
 with :func:`time.perf_counter_ns`.  Profiling is strictly pay-for-use:

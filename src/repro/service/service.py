@@ -94,8 +94,6 @@ ENGINE_OPTIONS = {
     "micro_technique": "edge",
     "enable_caching": True,
     "cache_policy": "lru",
-    "backend": "serial",
-    "backend_workers": None,
     "io_merge": False,
     # Per-query deadline in milliseconds (None = unlimited).  The clock
     # starts at submit, so queue wait counts against the budget; the
@@ -161,7 +159,7 @@ class _ServedDatabase:
     """A database handle plus the caches every query on it shares."""
 
     __slots__ = ("name", "db", "shared_cache", "plan_cache", "gate",
-                 "queries", "worker_pools", "owns_db", "writer_lock",
+                 "queries", "owns_db", "writer_lock",
                  "updates", "prefix")
 
     def __init__(self, name, db, shared_cache_pages=None, owns_db=False,
@@ -173,11 +171,6 @@ class _ServedDatabase:
         self.plan_cache = RoundPlanCache()
         self.gate = ReadWriteGate()
         self.queries = 0
-        # Process-backend worker pools, shared across every query on
-        # this handle (forked workers persist between runs); the service
-        # shuts them down with the handle.
-        from repro.core.parallel import WorkerPoolRegistry
-        self.worker_pools = WorkerPoolRegistry()
         #: True when the service opened the database itself (via
         #: ``prefix=``) and therefore owns closing its file handles.
         self.owns_db = owns_db
@@ -216,7 +209,6 @@ class _ServedDatabase:
         }
         if hasattr(db, "mvcc_stats"):
             out["mvcc"] = db.mvcc_stats()
-        out["worker_pools"] = self.worker_pools.stats()
         if hasattr(db, "scatter_lock_stats"):
             out["scatter_lock"] = db.scatter_lock_stats()
         # Dynamic wrappers keep the page pool on their file-backed base.
@@ -316,9 +308,8 @@ class GraphService:
         """Serve ``db`` (or lazily open ``<prefix>.meta.json/.pages``
         through the WAL-aware dynamic opener) under ``name``.
 
-        The handle gets its own shared page cache, plan cache,
-        read/write gate and process-backend worker-pool registry;
-        re-registering a name raises
+        The handle gets its own shared page cache, plan cache and
+        read/write gate; re-registering a name raises
         :class:`~repro.errors.ServiceError`.  ``store_mode="mmap"``
         serves a ``prefix=`` database's base pages zero-copy from the
         mapped pages file.  Returns the handle.
@@ -342,8 +333,8 @@ class GraphService:
 
     def remove_database(self, name):
         """Stop serving ``name`` (in-flight queries on it complete):
-        detach the shared cache, shut the handle's worker pools down,
-        and close the file store if the service opened it."""
+        detach the shared cache and close the file store if the service
+        opened it."""
         with self._db_lock:
             entry = self._databases.pop(name, None)
         if entry is None:
@@ -352,7 +343,6 @@ class GraphService:
             if candidate is not None and hasattr(candidate,
                                                  "detach_shared_cache"):
                 candidate.detach_shared_cache()
-        entry.worker_pools.shutdown()
         if entry.owns_db:
             for candidate in (entry.db, getattr(entry.db, "_base", None)):
                 if candidate is not None and hasattr(candidate, "close"):
@@ -555,13 +545,10 @@ class GraphService:
             enable_caching=options["enable_caching"],
             cache_policy=options["cache_policy"],
             execution=options["execution"],
-            backend=options["backend"],
-            backend_workers=options["backend_workers"],
             io_merge=options["io_merge"],
             faults=request.faults,
             fault_seed=request.fault_seed,
-            plan_cache=entry.plan_cache,
-            worker_pools=entry.worker_pools)
+            plan_cache=entry.plan_cache)
 
     def _execute(self, request, entry, deadline=None, timeout_ms=None,
                  trace=None):
@@ -707,12 +694,6 @@ class GraphService:
         finished = self._drained.wait(timeout) if wait else True
         if wait and finished:
             self._executor.shutdown(wait=True)
-            # Every query has completed; forked process-backend workers
-            # have no further rounds to serve.
-            with self._db_lock:
-                entries = list(self._databases.values())
-            for entry in entries:
-                entry.worker_pools.shutdown()
         return finished
 
     # ------------------------------------------------------------------

@@ -1,18 +1,23 @@
 """Property test: batched and paged execution are indistinguishable.
 
 The vectorized fast path is only allowed to change *wall-clock*, never
-behaviour: for any graph, kernel, strategy, and page-serving backend the
-two paths must produce bit-identical algorithm output, simulated time,
-per-round statistics, and cache counters.  Hypothesis drives random
-graphs and configurations through both paths, including a file-backed
-database whose page pool is small enough to force constant eviction.
+behaviour: for any graph, kernel, strategy, and page store the two paths
+must produce bit-identical algorithm output, simulated time, per-round
+statistics, and cache counters.  Hypothesis drives random graphs and
+configurations through both paths, including a file-backed database
+whose page pool is small enough to force constant eviction and a
+main-memory buffer smaller than the topology.  Both paths are also
+checked against the independent reference implementations in
+:mod:`repro.baselines.reference`.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines import reference
 from repro.core import (
     BFSKernel,
     GTSEngine,
@@ -48,11 +53,13 @@ def _random_graph(data, weighted):
     return graph
 
 
-def _run_pair(db, machine, strategy, kernel_name, start, caching):
+def _run_pair(db, machine, strategy, kernel_name, start, caching,
+              **engine_options):
     results = []
     for execution in ("paged", "batched"):
         engine = GTSEngine(db, machine, strategy=strategy,
-                           enable_caching=caching, execution=execution)
+                           enable_caching=caching, execution=execution,
+                           **engine_options)
         results.append(engine.run(KERNELS[kernel_name](start)))
     return results
 
@@ -79,9 +86,13 @@ def _assert_identical(paged, batched):
                 == dataclasses.asdict(round_paged))
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_batched_matches_paged_on_random_graphs(data):
+    """Includes out-of-core runs: a main-memory buffer smaller than the
+    topology keeps filling during the first rounds, so the batched round
+    cannot replay its misses in bulk and resolves them with one
+    ``fetch`` per page before booking."""
     kernel_name = data.draw(st.sampled_from(sorted(KERNELS)))
     graph = _random_graph(data, weighted=kernel_name == "sssp")
     if kernel_name == "wcc":
@@ -93,8 +104,11 @@ def test_batched_matches_paged_on_random_graphs(data):
     strategy = data.draw(st.sampled_from(["performance", "scalability"]))
     caching = data.draw(st.booleans())
     start = data.draw(st.integers(0, graph.num_vertices - 1))
+    fraction = data.draw(st.sampled_from([None, 0.25, 0.5, 0.75]))
+    mm_buffer_bytes = (None if fraction is None else max(
+        db.page_bytes(), int(db.topology_bytes() * fraction)))
     paged, batched = _run_pair(db, machine, strategy, kernel_name, start,
-                               caching)
+                               caching, mm_buffer_bytes=mm_buffer_bytes)
     _assert_identical(paged, batched)
 
 
@@ -124,12 +138,12 @@ def test_batched_matches_paged_under_pool_eviction(data, tmp_path_factory):
 
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
-def test_backend_and_store_mode_never_perturb_results(data,
-                                                      tmp_path_factory):
-    """The full host-side configuration matrix — (execution, backend,
-    store mode) — is indistinguishable from the eager serial baseline:
-    host options may only move host counters, never simulated time,
-    values, or the compared statistics."""
+def test_execution_and_store_mode_never_perturb_results(data,
+                                                        tmp_path_factory):
+    """The full host-side configuration matrix — (execution, store
+    mode) — is indistinguishable from the eager paged baseline: host
+    options may only move host counters, never simulated time, values,
+    or the compared statistics."""
     kernel_name = data.draw(st.sampled_from(sorted(KERNELS)))
     graph = _random_graph(data, weighted=kernel_name == "sssp")
     if kernel_name == "wcc":
@@ -143,39 +157,113 @@ def test_backend_and_store_mode_never_perturb_results(data,
         KERNELS[kernel_name](start))
     pool_pages = max(1, db.num_pages // 2)
     for execution in ("paged", "batched"):
-        for backend in ("serial", "process"):
-            for store_mode in ("copy", "mmap"):
-                lazy = FileBackedDatabase(prefix, pool_pages=pool_pages,
-                                          mode=store_mode)
-                engine = GTSEngine(lazy, machine, execution=execution,
-                                   backend=backend, backend_workers=2)
-                try:
-                    result = engine.run(KERNELS[kernel_name](start))
-                finally:
-                    engine.close()
-                    lazy.close()
-                combo = (execution, backend, store_mode)
-                assert result.elapsed_seconds \
-                    == baseline.elapsed_seconds, combo
-                assert result.num_rounds == baseline.num_rounds, combo
-                for key in baseline.values:
-                    np.testing.assert_array_equal(
-                        result.values[key], baseline.values[key],
-                        err_msg=str(combo))
-                result_dict = result.to_dict()
-                baseline_dict = baseline.to_dict()
-                for key in ("cache_hits", "cache_misses",
-                            "mm_buffer_hits", "mm_buffer_misses",
-                            "storage_bytes_read", "storage_pages_fetched",
-                            "pages_streamed", "bytes_to_gpu",
-                            "transfer_busy_seconds", "kernel_busy_seconds",
-                            "kernel_stream_seconds", "edges_traversed"):
-                    assert result_dict.get(key) \
-                        == baseline_dict.get(key), (combo, key)
-                for base_round, this_round in zip(baseline.rounds,
-                                                  result.rounds):
-                    assert (dataclasses.asdict(this_round)
-                            == dataclasses.asdict(base_round)), combo
+        for store_mode in ("copy", "mmap"):
+            lazy = FileBackedDatabase(prefix, pool_pages=pool_pages,
+                                      mode=store_mode)
+            try:
+                result = GTSEngine(lazy, machine, execution=execution).run(
+                    KERNELS[kernel_name](start))
+            finally:
+                lazy.close()
+            combo = (execution, store_mode)
+            assert result.elapsed_seconds == baseline.elapsed_seconds, combo
+            assert result.num_rounds == baseline.num_rounds, combo
+            for key in baseline.values:
+                np.testing.assert_array_equal(
+                    result.values[key], baseline.values[key],
+                    err_msg=str(combo))
+            result_dict = result.to_dict()
+            baseline_dict = baseline.to_dict()
+            for key in ("cache_hits", "cache_misses",
+                        "mm_buffer_hits", "mm_buffer_misses",
+                        "storage_bytes_read", "storage_pages_fetched",
+                        "pages_streamed", "bytes_to_gpu",
+                        "transfer_busy_seconds", "kernel_busy_seconds",
+                        "kernel_stream_seconds", "edges_traversed"):
+                assert result_dict.get(key) \
+                    == baseline_dict.get(key), (combo, key)
+            for base_round, this_round in zip(baseline.rounds,
+                                              result.rounds):
+                assert (dataclasses.asdict(this_round)
+                        == dataclasses.asdict(base_round)), combo
+
+
+def test_filling_buffer_takes_the_per_page_fetch_branch():
+    """Out-of-core runs exercise the per-page fetch branch of the
+    batched booking: with the buffer still filling, ``bulk_ready``
+    declines and each first-miss page gets one ``fetch`` call, yet the
+    result matches the paged path."""
+    rng = np.random.default_rng(11)
+    graph = Graph.from_edges(400, rng.integers(0, 400, size=3000),
+                             rng.integers(0, 400, size=3000))
+    db = build_database(graph, PageFormatConfig(2, 2, 1 * KB))
+    assert db.num_pages >= 8
+    machine = scaled_workstation(num_gpus=2, num_ssds=2)
+    calls = {"declined": 0, "fetch": 0}
+    make_fetch = GTSEngine._make_fetch
+
+    def counting_make_fetch(self, *args, **kwargs):
+        fetch = make_fetch(self, *args, **kwargs)
+        bulk = getattr(fetch, "bulk_ready", None)
+        if bulk is None:
+            return fetch
+
+        def counted(pid):
+            calls["fetch"] += 1
+            return fetch(pid)
+
+        def counted_bulk(miss_pids):
+            ready = bulk(miss_pids)
+            calls["declined"] += ready is None
+            return ready
+
+        counted.bulk_ready = counted_bulk
+        return counted
+
+    with mock.patch.object(GTSEngine, "_make_fetch", counting_make_fetch):
+        paged, batched = _run_pair(
+            db, machine, "performance", "pagerank", 0, False,
+            mm_buffer_bytes=db.topology_bytes() // 2)
+    _assert_identical(paged, batched)
+    assert calls["declined"] >= 1
+    assert calls["fetch"] > 0
+    assert batched.mm_buffer_misses > 0
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_batched_kernels_match_reference(data):
+    """Every batched kernel agrees with the independent reference
+    implementation (exact for integer outputs, ``allclose`` for
+    floats)."""
+    kernel_name = data.draw(st.sampled_from(sorted(KERNELS)))
+    graph = _random_graph(data, weighted=kernel_name == "sssp")
+    if kernel_name == "wcc":
+        graph = graph.symmetrised()
+    # SSSP needs the weights stored in the pages to match the oracle.
+    weight_bytes = 4 if kernel_name == "sssp" else 0
+    db = build_database(graph, PageFormatConfig(
+        2, 2, 1 * KB, weight_bytes=weight_bytes))
+    machine = scaled_workstation(num_gpus=2, num_ssds=2)
+    start = data.draw(st.integers(0, graph.num_vertices - 1))
+    result = GTSEngine(db, machine, execution="batched").run(
+        KERNELS[kernel_name](start))
+    assert result.execution == "batched"
+    if kernel_name == "pagerank":
+        np.testing.assert_allclose(
+            result.values["rank"],
+            reference.pagerank(graph, iterations=4), rtol=1e-9, atol=1e-12)
+    elif kernel_name == "bfs":
+        np.testing.assert_array_equal(
+            result.values["level"], reference.bfs_levels(graph, start))
+    elif kernel_name == "sssp":
+        np.testing.assert_allclose(
+            result.values["distance"],
+            reference.sssp_distances(graph, start), rtol=1e-6)
+    else:
+        np.testing.assert_array_equal(
+            result.values["component"],
+            reference.weakly_connected_components(graph))
 
 
 @settings(max_examples=8, deadline=None)
@@ -183,8 +271,7 @@ def test_backend_and_store_mode_never_perturb_results(data,
 def test_io_merge_changes_plan_but_not_results(data, tmp_path_factory):
     """``io_merge`` is the one opt-in host knob allowed to move the
     simulated I/O plan; the algorithm output must stay bit-identical,
-    and under merge the (execution, backend) matrix must still agree
-    with itself."""
+    and under merge paged and batched execution must still agree."""
     kernel_name = data.draw(st.sampled_from(["pagerank", "bfs"]))
     graph = _random_graph(data, weighted=False)
     db = build_database(graph, PageFormatConfig(2, 2, 1 * KB))
@@ -196,26 +283,20 @@ def test_io_merge_changes_plan_but_not_results(data, tmp_path_factory):
     plain = GTSEngine(lazy, machine).run(KERNELS[kernel_name](start))
     merged = {}
     for execution in ("paged", "batched"):
-        for backend in ("serial", "process"):
-            engine = GTSEngine(lazy, machine, execution=execution,
-                               backend=backend, backend_workers=2,
-                               io_merge=True)
-            try:
-                merged[(execution, backend)] = engine.run(
-                    KERNELS[kernel_name](start))
-            finally:
-                engine.close()
-    reference = merged[("paged", "serial")]
+        engine = GTSEngine(lazy, machine, execution=execution,
+                           io_merge=True)
+        merged[execution] = engine.run(KERNELS[kernel_name](start))
+    expected = merged["paged"]
     for key in plain.values:
-        np.testing.assert_array_equal(reference.values[key],
+        np.testing.assert_array_equal(expected.values[key],
                                       plain.values[key])
-    for combo, result in merged.items():
+    for execution, result in merged.items():
         assert result.elapsed_seconds \
-            == reference.elapsed_seconds, combo
-        for key in reference.values:
+            == expected.elapsed_seconds, execution
+        for key in expected.values:
             np.testing.assert_array_equal(result.values[key],
-                                          reference.values[key],
-                                          err_msg=str(combo))
+                                          expected.values[key],
+                                          err_msg=execution)
 
 
 def test_all_four_kernels_support_batch():

@@ -12,6 +12,10 @@ around that property.
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import urllib.request
 
@@ -403,6 +407,27 @@ class TestHTTP:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize("option,value", [
+        ("backend", "process"),
+        ("backend_workers", 2),
+        ("warp_factor", 9),
+    ])
+    def test_unknown_engine_option_is_a_typed_400(self, server, option,
+                                                  value):
+        body = json.dumps({"database": "g", "algorithm": "bfs",
+                           "options": {option: value}}).encode()
+        request = urllib.request.Request(
+            "http://127.0.0.1:%d/query" % server.server_address[1],
+            data=body, headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request)
+        assert excinfo.value.code == 400
+        payload = json.loads(excinfo.value.read())
+        assert payload["type"] == "ServiceError"
+        assert payload["error"].startswith(
+            "unknown engine option(s): %s (valid: " % option)
+        assert server.service.stats()["completed"] == 0
+
     def test_draining_server_returns_503(self, server):
         server.service.drain(wait=True, timeout=30)
         client = ServiceClient(
@@ -439,3 +464,50 @@ class TestObservability:
         assert registry["service.latency_p50_seconds"].snapshot() \
             == latency["p50"]
         service.drain()
+
+
+SERVE_AND_UPDATE_SCRIPT = textwrap.dedent("""\
+    import sys
+    import threading
+
+    from repro.dynamic import UpdateBatch
+    from repro.format import PageFormatConfig, build_database
+    from repro.format.io import save_database
+    from repro.graphgen import generate_rmat
+    from repro.service import GraphService, ServiceClient, make_server
+
+    prefix = sys.argv[1]
+    save_database(build_database(generate_rmat(7, edge_factor=4, seed=3),
+                                 PageFormatConfig(2, 2, 1024)), prefix)
+    service = GraphService()
+    service.add_database("g", prefix=prefix)
+    server = make_server(service, port=0)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    client = ServiceClient("http://127.0.0.1:%d" % server.server_address[1])
+    client.query("g", "pagerank", params={"iterations": 2})
+    client.update("g", UpdateBatch().insert_edge(0, 1))
+    server.shutdown()
+    server.server_close()
+    service.drain()
+    sys.exit(3 if "multiprocessing" in sys.modules else 0)
+""")
+
+
+def test_serving_never_imports_multiprocessing(tmp_path):
+    """A served database answers queries and updates in threads only:
+    nothing on the serving path may pull in ``multiprocessing`` (and
+    with it the fork-from-threads hazard).  Runs in a fresh interpreter
+    because the test runner itself may have imported the module."""
+    script = tmp_path / "serve_and_update.py"
+    script.write_text(SERVE_AND_UPDATE_SCRIPT)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src"),
+         env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+    proc = subprocess.run(
+        [sys.executable, str(script), str(tmp_path / "g")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, (
+        "multiprocessing was imported" if proc.returncode == 3
+        else proc.stderr)
