@@ -1,21 +1,22 @@
-"""Wall-clock benchmark gate: batched vs paged round execution and the
-zero-copy mmap store.
+"""Wall-clock benchmark: batched round execution and the zero-copy
+mmap store.
 
 Unlike the ``bench_fig*`` harnesses, which report *simulated* seconds,
-this script measures real host wall-clock for the host-side options of
-:class:`repro.core.engine.GTSEngine` and fails if they do not deliver.
+this script measures real host wall-clock of
+:class:`repro.core.engine.GTSEngine` runs and of the store's open path.
 It is both the acceptance artifact (``BENCH_wallclock.json`` at the
 repo root, produced by a full run) and a CI smoke gate (``--quick``).
+The history benchmark name stays ``wallclock_batched_vs_paged`` so the
+record trajectory continues across the removal of the per-page path.
 
 Protocol
 --------
-The database is built once and shared.  Each execution mode gets one
-engine and ``1 + repeats`` runs: the first is reported as *cold* (for
-the batched path it pays the one-time :class:`PagePlan` build; for the
-paged path it pays the database scatter-index cache fill), the rest as
-*warm*, and the headline speedup compares best-of-warm to best-of-warm.
-Cold numbers are reported separately rather than mixed in, because the
-plan build amortises across every later run on the same topology.
+The database is built once and shared.  Each kernel gets one engine
+and ``1 + repeats`` runs: the first is reported as *cold* (it pays the
+one-time :class:`PagePlan` build), the rest as *warm*.  Cold numbers
+are reported separately rather than mixed in, because the plan build
+amortises across every later run on the same topology.  Every warm run
+must reproduce the cold run's simulated time and output exactly.
 
 A further ``store_modes`` cell measures the zero-copy store on a saved
 copy of the dataset (8 KiB pages — wide enough that vectorized decode,
@@ -24,8 +25,9 @@ not per-page Python overhead, dominates): a full eager
 scan (what a cold query actually pays before its first round).  Gated
 by ``--min-mmap-speedup``.
 
-Every pair of runs is also checked for bit-identical simulated time and
-algorithm output — a speedup that changes answers is a bug, not a win.
+The two stores' runs are also checked for bit-identical simulated time
+and algorithm output — a speedup that changes answers is a bug, not a
+win.
 
 ``--quick`` caches the built databases under
 ``benchmarks/.dataset_cache/`` (keyed by generator parameters and page
@@ -97,33 +99,36 @@ def summarize_samples(wall):
     }
 
 
-def run_mode(db, machine, kernel_name, iterations, execution, repeats):
-    """One engine, ``1 + repeats`` runs; returns (timings, last result)."""
-    engine = GTSEngine(db, machine, execution=execution)
+def run_kernel(db, machine, kernel_name, iterations, repeats):
+    """One engine, ``1 + repeats`` runs; returns (timings, results)."""
+    engine = GTSEngine(db, machine)
     wall = []
-    result = None
+    results = []
     for _ in range(1 + repeats):
         kernel = make_kernel(kernel_name, iterations)
         start = time.perf_counter()
-        result = engine.run(kernel)
+        results.append(engine.run(kernel))
         wall.append(time.perf_counter() - start)
-    return summarize_samples(wall), result
+    return summarize_samples(wall), results
 
 
-def check_equivalent(kernel_name, paged, batched):
-    """Both paths must agree bit-for-bit on time and answers."""
+def check_repeatable(kernel_name, results):
+    """Warm runs (plan cached) must agree bit-for-bit with the cold run
+    on simulated time and answers."""
     problems = []
-    if paged.elapsed_seconds != batched.elapsed_seconds:
-        problems.append("elapsed_seconds %r != %r" % (
-            paged.elapsed_seconds, batched.elapsed_seconds))
-    for key in paged.values:
-        if not np.array_equal(paged.values[key], batched.values[key]):
-            problems.append("values[%r] differ" % key)
-    if paged.num_rounds != batched.num_rounds:
-        problems.append("num_rounds %d != %d" % (
-            paged.num_rounds, batched.num_rounds))
+    cold = results[0]
+    for warm in results[1:]:
+        if warm.elapsed_seconds != cold.elapsed_seconds:
+            problems.append("elapsed_seconds %r != %r" % (
+                warm.elapsed_seconds, cold.elapsed_seconds))
+        if warm.num_rounds != cold.num_rounds:
+            problems.append("num_rounds %d != %d" % (
+                warm.num_rounds, cold.num_rounds))
+        for key in cold.values:
+            if not np.array_equal(warm.values[key], cold.values[key]):
+                problems.append("values[%r] differ" % key)
     for problem in problems:
-        print("EQUIVALENCE FAILURE (%s): %s" % (kernel_name, problem),
+        print("REPEATABILITY FAILURE (%s): %s" % (kernel_name, problem),
               file=sys.stderr)
     return not problems
 
@@ -209,7 +214,8 @@ def bench_store_modes(prefix, repeats):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="wall-clock gate for batched vs paged execution")
+        description="wall-clock benchmark of batched execution and the "
+                    "mmap store")
     parser.add_argument("--scale", type=int, default=18,
                         help="RMAT scale (default 18)")
     parser.add_argument("--edge-factor", type=int, default=16)
@@ -220,10 +226,6 @@ def main(argv=None):
                         help="warm runs per mode (default 3)")
     parser.add_argument("--kernels", default="pagerank",
                         help="comma list: pagerank,bfs,sssp,wcc")
-    parser.add_argument("--min-speedup", type=float, default=1.0,
-                        help="fail if the headline kernel's best-of-warm "
-                             "speedup is below this (default 1.0: batched "
-                             "must not be slower)")
     parser.add_argument("--min-mmap-speedup", type=float, default=None,
                         metavar="X",
                         help="fail if the mmap open+scan is not at least "
@@ -280,46 +282,27 @@ def main(argv=None):
         "machine": "scaled_workstation(num_gpus=2, num_ssds=2)",
         "protocol": {
             "repeats": args.repeats,
-            "timing": "1 cold + N warm runs per mode on one engine; "
-                      "headline speedup is best-of-warm / best-of-warm",
+            "timing": "1 cold + N warm runs per kernel on one engine",
         },
         "quick": args.quick,
         "kernels": {},
     }
 
     ok = True
-    headline_speedup = None
     for kernel_name in kernels:
         print("== %s ==" % kernel_name)
-        paged_times, paged_result = run_mode(
-            db, machine, kernel_name, args.iterations, "paged", args.repeats)
-        print("  paged   cold %.2fs  warm %s" % (
-            paged_times["cold_seconds"], paged_times["warm_seconds"]))
-        batched_times, batched_result = run_mode(
-            db, machine, kernel_name, args.iterations, "batched",
-            args.repeats)
+        times, results = run_kernel(db, machine, kernel_name,
+                                    args.iterations, args.repeats)
         print("  batched cold %.2fs  warm %s" % (
-            batched_times["cold_seconds"], batched_times["warm_seconds"]))
-        equivalent = check_equivalent(
-            kernel_name, paged_result, batched_result)
-        ok = ok and equivalent
-        speedup = round(
-            paged_times["best_seconds"] / batched_times["best_seconds"], 2)
-        cold_speedup = round(
-            paged_times["cold_seconds"] / batched_times["cold_seconds"], 2)
-        if headline_speedup is None:
-            headline_speedup = speedup
-        print("  speedup %.2fx warm best-of-%d (%.2fx cold)"
-              % (speedup, args.repeats, cold_speedup))
+            times["cold_seconds"], times["warm_seconds"]))
+        repeatable = check_repeatable(kernel_name, results)
+        ok = ok and repeatable
         report["kernels"][kernel_name] = {
             "iterations": (args.iterations
                            if kernel_name == "pagerank" else None),
-            "paged": paged_times,
-            "batched": batched_times,
-            "speedup_best": speedup,
-            "speedup_cold": cold_speedup,
-            "simulated_elapsed_seconds": paged_result.elapsed_seconds,
-            "bit_identical": equivalent,
+            "batched": times,
+            "simulated_elapsed_seconds": results[0].elapsed_seconds,
+            "bit_identical": repeatable,
         }
 
     print("== store modes (page_size=%d) ==" % STORE_CELL_PAGE_SIZE)
@@ -336,12 +319,6 @@ def main(argv=None):
              store_cell["speedup_best"], store_cell["speedup_cold"]))
     report["store_modes"] = store_cell
 
-
-    report["headline_speedup"] = headline_speedup
-    report["min_speedup_gate"] = args.min_speedup
-    gate_ok = headline_speedup is not None and (
-        headline_speedup >= args.min_speedup)
-
     store_cell["min_speedup_gate"] = args.min_mmap_speedup
     mmap_ok = True
     if args.min_mmap_speedup is not None:
@@ -350,7 +327,7 @@ def main(argv=None):
     else:
         store_cell["gate"] = "report only"
 
-    report["gate_passed"] = bool(ok and gate_ok and mmap_ok)
+    report["gate_passed"] = bool(ok and mmap_ok)
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=False)
         handle.write("\n")
@@ -366,19 +343,16 @@ def main(argv=None):
             generated=report["generated"])
         print("appended history record to %s" % args.history)
     if not ok:
-        print("FAIL: a host-side option changed results", file=sys.stderr)
-        return 1
-    if not gate_ok:
-        print("FAIL: headline speedup %sx below gate %.2fx"
-              % (headline_speedup, args.min_speedup), file=sys.stderr)
+        print("FAIL: a repeated run or the store mode changed results",
+              file=sys.stderr)
         return 1
     if not mmap_ok:
         print("FAIL: mmap open+scan speedup %.2fx below gate %.2fx"
               % (store_cell["speedup_best"], args.min_mmap_speedup),
               file=sys.stderr)
         return 1
-    print("gate passed: %.2fx >= %.2fx (mmap %s)"
-          % (headline_speedup, args.min_speedup, store_cell["gate"]))
+    print("gate passed: results repeatable and store-invariant (mmap %s)"
+          % store_cell["gate"])
     return 0
 
 

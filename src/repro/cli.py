@@ -157,13 +157,6 @@ def build_parser():
         sub.add_argument("--ssds", type=int, default=2)
         sub.add_argument("--micro", choices=("edge", "vertex", "hybrid"),
                          default="edge")
-        sub.add_argument("--execution",
-                         choices=("auto", "paged", "batched"),
-                         default="auto",
-                         help="round execution path: 'batched' forces the "
-                              "vectorized fast path (errors for kernels "
-                              "without one), 'paged' the per-page loop, "
-                              "'auto' picks per kernel")
         sub.add_argument("--no-cache", action="store_true")
         sub.add_argument("--io-merge", action="store_true",
                          help="coalesce adjacent page misses per round "
@@ -442,9 +435,6 @@ def build_parser():
                        default=None)
     query.add_argument("--streams", type=int, default=None)
     query.add_argument("--gpus", type=int, default=None)
-    query.add_argument("--execution",
-                       choices=("auto", "paged", "batched"),
-                       default=None)
     query.add_argument("--io-merge", action="store_true",
                        help="coalesce adjacent page misses into ranged "
                             "fetches for this query")
@@ -549,7 +539,6 @@ def _execute_run(args, tracing=False):
                        micro_technique=args.micro,
                        enable_caching=not args.no_cache,
                        tracing=tracing,
-                       execution=getattr(args, "execution", "auto"),
                        io_merge=getattr(args, "io_merge", False),
                        faults=faults,
                        fault_seed=getattr(args, "fault_seed", None),
@@ -1034,8 +1023,6 @@ def _command_query(args):
         options["num_streams"] = args.streams
     if args.gpus is not None:
         options["num_gpus"] = args.gpus
-    if args.execution:
-        options["execution"] = args.execution
     if args.io_merge:
         options["io_merge"] = True
     if args.timeout_ms is not None:

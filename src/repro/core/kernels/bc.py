@@ -1,4 +1,4 @@
-"""Betweenness Centrality kernels (BFS-like family, Appendix D).
+"""Betweenness Centrality kernel (BFS-like family, Appendix D).
 
 Brandes' algorithm over a set of sample sources, expressed as engine
 rounds.  For each source the kernel runs two page-streamed phases:
@@ -23,7 +23,7 @@ paper runs BC in single-node mode only (Appendix D).
 
 import numpy as np
 
-from repro.core.kernels.base import Kernel, PageWork, RoundPlan, edge_expand
+from repro.core.kernels.base import BatchWork, Kernel, RoundPlan
 from repro.errors import ConfigurationError
 
 UNVISITED = -1
@@ -135,61 +135,42 @@ class BCKernel(Kernel):
         return {"centrality": state.centrality.copy()}
 
     # ------------------------------------------------------------------
-    # Page kernels
+    # Compute
     # ------------------------------------------------------------------
-    def _forward(self, page, state, ctx, active_mask, source_sigmas):
-        targets, target_pids, _, sources_idx = edge_expand(page, active_mask)
+    def process_batch(self, batch, state, ctx):
+        if state.phase == "forward":
+            return self._forward(batch, state, ctx)
+        return self._backward(batch, state, ctx)
+
+    def _forward(self, batch, state, ctx):
+        active = state.level[batch.rec_vids] == state.cur_level
+        edge_active, sources, targets = batch.advance(active)
+        # Against the round-start levels: a target is fresh when no
+        # earlier round reached it, whichever page discovers it first.
         fresh = state.level[targets] == UNVISITED
         state.level[targets[fresh]] = state.cur_level + 1
         # Path counting: every frontier edge into a level-(l+1) vertex
-        # contributes the source's sigma.  Duplicate targets need the
-        # unbuffered add.
-        counted = state.level[targets] == state.cur_level + 1
-        np.add.at(state.sigma, targets[counted],
-                  source_sigmas[sources_idx[counted]])
-        next_pids = np.unique(target_pids[fresh])
-        return PageWork(
-            num_records=page.num_records,
-            active_vertices=int(active_mask.sum()),
-            edges_traversed=int(len(targets)),
-            lane_steps=ctx.lane_steps(page.degrees(), active_mask),
-            next_pids=next_pids,
-        )
+        # contributes the source's sigma (sources sit at level l, so
+        # their sigma is not written this round).  Duplicate targets
+        # need the unbuffered, page-major add.
+        np.add.at(state.sigma, targets[fresh], state.sigma[sources[fresh]])
+        next_pids = np.unique(batch.adj_pids[edge_active][fresh])
+        return BatchWork.frontier(batch, ctx, active, edge_active,
+                                  next_pids)
 
-    def _backward(self, page, state, ctx, active_mask, record_vids):
-        targets, _, _, sources_idx = edge_expand(page, active_mask)
+    def _backward(self, batch, state, ctx):
+        active = state.level[batch.rec_vids] == state.backward_level
+        edge_active, sources, targets = batch.advance(active)
         downstream = state.level[targets] == state.backward_level + 1
-        idx = sources_idx[downstream]
-        tgt = targets[downstream]
-        ratio = np.zeros(len(tgt))
-        valid = state.sigma[tgt] > 0
-        source_vids = record_vids[idx]
-        ratio[valid] = (state.sigma[source_vids[valid]]
-                        / state.sigma[tgt[valid]])
-        contributions = ratio * (1.0 + state.delta[tgt])
-        # Sum per source record; records live in exactly one small page,
-        # and large-page chunks contribute commutative partial sums.
-        np.add.at(state.delta, source_vids, contributions)
-        return PageWork(
-            num_records=page.num_records,
-            active_vertices=int(active_mask.sum()),
-            edges_traversed=int(len(targets)),
-            lane_steps=ctx.lane_steps(page.degrees(), active_mask),
-            next_pids=np.empty(0, dtype=np.int64),
-        )
-
-    def process_sp(self, page, state, ctx):
-        vids = page.vids()
-        if state.phase == "forward":
-            active = state.level[vids] == state.cur_level
-            return self._forward(page, state, ctx, active, state.sigma[vids])
-        active = state.level[vids] == state.backward_level
-        return self._backward(page, state, ctx, active, vids)
-
-    def process_lp(self, page, state, ctx):
-        vids = np.asarray([page.vid], dtype=np.int64)
-        if state.phase == "forward":
-            active = state.level[vids] == state.cur_level
-            return self._forward(page, state, ctx, active, state.sigma[vids])
-        active = state.level[vids] == state.backward_level
-        return self._backward(page, state, ctx, active, vids)
+        sources = sources[downstream]
+        targets = targets[downstream]
+        ratio = np.zeros(len(targets))
+        valid = state.sigma[targets] > 0
+        ratio[valid] = (state.sigma[sources[valid]]
+                        / state.sigma[targets[valid]])
+        # ``delta`` of level-(l+1) targets is final: only level-l
+        # sources are written this round.
+        contributions = ratio * (1.0 + state.delta[targets])
+        # Large-page chunks contribute partial sums to one vertex.
+        np.add.at(state.delta, sources, contributions)
+        return BatchWork.frontier(batch, ctx, active, edge_active)

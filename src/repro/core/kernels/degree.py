@@ -8,20 +8,13 @@ slotted-page builder against the source graph.
 
 import numpy as np
 
-from repro.core.kernels.base import (
-    ALL_PAGES,
-    Kernel,
-    PageWork,
-    RoundPlan,
-    scatter_add,
-)
+from repro.core.kernels.base import ALL_PAGES, BatchWork, Kernel, RoundPlan
 
 
 class _DegreeState:
     def __init__(self, db):
         self.out_degree = np.zeros(db.num_vertices, dtype=np.int64)
         self.in_degree = np.zeros(db.num_vertices, dtype=np.int64)
-        self._in_degree_float = np.zeros(db.num_vertices)
         self.done = False
 
 
@@ -44,32 +37,15 @@ class DegreeKernel(Kernel):
 
     def finish_round(self, state, merged_next_pids):
         state.done = True
-        state.in_degree = state._in_degree_float.astype(np.int64)
 
     def results(self, state):
         return {"out_degree": state.out_degree.copy(),
                 "in_degree": state.in_degree.copy()}
 
     # ------------------------------------------------------------------
-    def process_sp(self, page, state, ctx):
-        degrees = page.degrees()
-        state.out_degree[page.vids()] += degrees
-        scatter_add(state._in_degree_float, page,
-                    np.ones(page.num_edges), db=ctx.db)
-        return PageWork(
-            num_records=page.num_records,
-            active_vertices=page.num_records,
-            edges_traversed=page.num_edges,
-            lane_steps=ctx.lane_steps(degrees),
-        )
-
-    def process_lp(self, page, state, ctx):
-        state.out_degree[page.vid] += page.num_edges
-        scatter_add(state._in_degree_float, page,
-                    np.ones(page.num_edges), db=ctx.db)
-        return PageWork(
-            num_records=1,
-            active_vertices=1,
-            edges_traversed=page.num_edges,
-            lane_steps=ctx.lane_steps(page.degrees()),
-        )
+    def process_batch(self, batch, state, ctx):
+        # A large vertex's chunks each add their own degree.
+        np.add.at(state.out_degree, batch.rec_vids, batch.degrees)
+        state.in_degree += np.bincount(batch.adj_vids,
+                                       minlength=len(state.in_degree))
+        return BatchWork.full_scan(batch, ctx)

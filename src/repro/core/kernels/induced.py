@@ -17,15 +17,8 @@ cross-edges kernel).
 
 import numpy as np
 
-from repro.core.kernels.base import (
-    ALL_PAGES,
-    Kernel,
-    PageWork,
-    RoundPlan,
-    edge_expand,
-)
+from repro.core.kernels.base import ALL_PAGES, BatchWork, Kernel, RoundPlan
 from repro.errors import ConfigurationError
-from repro.format.page import PageKind
 
 
 class _InducedState:
@@ -93,33 +86,21 @@ class InducedSubgraphKernel(Kernel):
         return results
 
     # ------------------------------------------------------------------
-    def _scan(self, page, state, ctx):
-        active = state.member[page.vids()]
-        targets, _, _, sources_idx = edge_expand(page, active)
+    def process_batch(self, batch, state, ctx):
+        active = state.member[batch.rec_vids]
+        edge_active, sources, targets = batch.advance(active)
         inside = state.member[targets]
-        kept_targets = targets[inside]
-        state.num_edges += int(len(kept_targets))
-        if page.kind is PageKind.SMALL:
-            source_vids = page.vids()[sources_idx[inside]]
-        else:
-            source_vids = np.full(len(kept_targets), page.vid,
-                                  dtype=np.int64)
-        np.add.at(state.internal_degree, source_vids, 1)
+        sources = sources[inside]
+        targets = targets[inside]
+        state.num_edges += len(targets)
+        state.internal_degree += np.bincount(
+            sources, minlength=len(state.internal_degree))
         if self.collect_edges:
-            state.edges.extend(zip(source_vids.tolist(),
-                                   kept_targets.tolist()))
-        return PageWork(
-            num_records=page.num_records,
-            active_vertices=int(active.sum()),
-            edges_traversed=page.num_edges,
-            lane_steps=ctx.lane_steps(page.degrees()),
-        )
-
-    def process_sp(self, page, state, ctx):
-        return self._scan(page, state, ctx)
-
-    def process_lp(self, page, state, ctx):
-        return self._scan(page, state, ctx)
+            state.edges.extend(zip(sources.tolist(), targets.tolist()))
+        # The scan reads every edge to test membership.
+        work = BatchWork.full_scan(batch, ctx)
+        work.active_vertices = batch.segment_sum(active)
+        return work
 
 
 class _EgonetState(_InducedState):
@@ -169,24 +150,10 @@ class EgonetKernel(InducedSubgraphKernel):
             state.phase = "done"
 
     # ------------------------------------------------------------------
-    def _expand(self, page, state, ctx):
-        active = page.vids() == state.ego
-        targets, _, _, _ = edge_expand(page, active)
+    def process_batch(self, batch, state, ctx):
+        if state.phase == "scan":
+            return super().process_batch(batch, state, ctx)
+        active = batch.rec_vids == state.ego
+        edge_active, _, targets = batch.advance(active)
         state.member[targets] = True
-        return PageWork(
-            num_records=page.num_records,
-            active_vertices=int(active.sum()),
-            edges_traversed=int(len(targets)),
-            lane_steps=ctx.lane_steps(page.degrees(), active),
-            next_pids=np.empty(0, dtype=np.int64),
-        )
-
-    def process_sp(self, page, state, ctx):
-        if state.phase == "expand":
-            return self._expand(page, state, ctx)
-        return self._scan(page, state, ctx)
-
-    def process_lp(self, page, state, ctx):
-        if state.phase == "expand":
-            return self._expand(page, state, ctx)
-        return self._scan(page, state, ctx)
+        return BatchWork.frontier(batch, ctx, active, edge_active)

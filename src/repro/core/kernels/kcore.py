@@ -18,7 +18,7 @@ widths).
 
 import numpy as np
 
-from repro.core.kernels.base import Kernel, PageWork, RoundPlan, edge_expand
+from repro.core.kernels.base import BatchWork, Kernel, RoundPlan
 from repro.errors import ConfigurationError
 
 
@@ -75,23 +75,10 @@ class KCoreKernel(Kernel):
                 "residual_degree": state.degree.copy()}
 
     # ------------------------------------------------------------------
-    def _peel(self, page, state, ctx, active_mask):
-        targets, _, _, _ = edge_expand(page, active_mask)
-        # Removed vertices release one degree unit per incident edge;
-        # duplicates require the unbuffered decrement.
-        np.add.at(state.degree, targets, -1)
-        return PageWork(
-            num_records=page.num_records,
-            active_vertices=int(active_mask.sum()),
-            edges_traversed=int(len(targets)),
-            lane_steps=ctx.lane_steps(page.degrees(), active_mask),
-            next_pids=np.empty(0, dtype=np.int64),
-        )
-
-    def process_sp(self, page, state, ctx):
-        active = state.frontier[page.vids()]
-        return self._peel(page, state, ctx, active)
-
-    def process_lp(self, page, state, ctx):
-        active = np.asarray([state.frontier[page.vid]])
-        return self._peel(page, state, ctx, active)
+    def process_batch(self, batch, state, ctx):
+        active = state.frontier[batch.rec_vids]
+        edge_active = active[batch.edge_rec]
+        # Removed vertices release one degree unit per incident edge.
+        state.degree -= np.bincount(batch.adj_vids[edge_active],
+                                    minlength=len(state.degree))
+        return BatchWork.frontier(batch, ctx, active, edge_active)

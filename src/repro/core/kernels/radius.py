@@ -19,7 +19,7 @@ WA is the sketch array (``4 * num_sketches`` bytes per vertex).
 
 import numpy as np
 
-from repro.core.kernels.base import ALL_PAGES, Kernel, PageWork, RoundPlan
+from repro.core.kernels.base import ALL_PAGES, BatchWork, Kernel, RoundPlan
 from repro.errors import ConfigurationError
 
 #: Bits per FM sketch (uint32 masks estimate sets up to ~2^30).
@@ -117,38 +117,14 @@ class RadiusKernel(Kernel):
         }
 
     # ------------------------------------------------------------------
-    def _propagate(self, page, state, source_rows, db=None):
-        """OR each edge's source sketches into its target's sketches."""
-        order, unique_targets, starts = _page_or_index(page, db)
-        if len(unique_targets) == 0:
-            return
-        per_edge = state.prev[source_rows][order]
-        merged = np.bitwise_or.reduceat(per_edge, starts, axis=0)
-        state.sketches[unique_targets] |= merged
-
-    def process_sp(self, page, state, ctx):
-        degrees = page.degrees()
-        source_rows = np.repeat(page.vids(), degrees)
-        self._propagate(page, state, source_rows, db=ctx.db)
-        return PageWork(
-            num_records=page.num_records,
-            active_vertices=page.num_records,
-            edges_traversed=page.num_edges,
-            lane_steps=ctx.lane_steps(degrees) * self.num_sketches,
-        )
-
-    def process_lp(self, page, state, ctx):
-        source_rows = np.full(page.num_edges, page.vid, dtype=np.int64)
-        self._propagate(page, state, source_rows, db=ctx.db)
-        return PageWork(
-            num_records=1,
-            active_vertices=1,
-            edges_traversed=page.num_edges,
-            lane_steps=ctx.lane_steps(page.degrees()) * self.num_sketches,
-        )
-
-
-def _page_or_index(page, db=None):
-    """Reuse the cached sorted-scatter index from the base helpers."""
-    from repro.core.kernels.base import page_scatter_index
-    return page_scatter_index(page, db)
+    def process_batch(self, batch, state, ctx):
+        # OR each edge's source sketches (round-start ``prev``) into its
+        # target's sketches, one (page, target) segment at a time.
+        if batch.num_segments:
+            merged = np.bitwise_or.reduceat(
+                state.prev[batch.scatter_vids()], batch.seg_starts, axis=0)
+            np.bitwise_or.at(state.sketches, batch.seg_targets, merged)
+        work = BatchWork.full_scan(batch, ctx)
+        # Every edge ORs ``num_sketches`` words.
+        work.lane_steps = work.lane_steps * self.num_sketches
+        return work

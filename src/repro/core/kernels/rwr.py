@@ -1,4 +1,4 @@
-"""Random Walk with Restart kernels (PageRank-like family, Section 3.3).
+"""Random Walk with Restart kernel (PageRank-like family, Section 3.3).
 
 RWR computes the stationary distribution of a random walker that follows
 out-edges with probability ``1 - restart`` and jumps back to the query
@@ -9,13 +9,7 @@ full-scan streaming pattern and double-buffered WA/RA split.
 
 import numpy as np
 
-from repro.core.kernels.base import (
-    ALL_PAGES,
-    Kernel,
-    PageWork,
-    RoundPlan,
-    scatter_add,
-)
+from repro.core.kernels.base import ALL_PAGES, BatchWork, Kernel, RoundPlan
 from repro.errors import ConfigurationError
 
 
@@ -72,31 +66,16 @@ class RWRKernel(Kernel):
         return {"proximity": state.prev.copy()}
 
     # ------------------------------------------------------------------
-    def process_sp(self, page, state, ctx):
-        degrees = page.degrees()
-        vids = page.vids()
-        walk = 1.0 - state.restart
+    def process_batch(self, batch, state, ctx):
+        # PageRank's batch with the walk probability as the damping
+        # factor; see :meth:`PageRankKernel.process_batch`.
         contrib = np.where(
-            degrees > 0,
-            walk * state.prev[vids] / np.maximum(degrees, 1),
+            batch.rec_divisor > 0,
+            (1.0 - state.restart) * state.prev[batch.rec_vids]
+            / np.maximum(batch.rec_divisor, 1),
             0.0)
-        scatter_add(state.next, page, np.repeat(contrib, degrees),
-                    db=ctx.db)
-        return PageWork(
-            num_records=page.num_records,
-            active_vertices=page.num_records,
-            edges_traversed=page.num_edges,
-            lane_steps=ctx.lane_steps(degrees),
-        )
-
-    def process_lp(self, page, state, ctx):
-        contrib = ((1.0 - state.restart) * state.prev[page.vid]
-                   / max(page.total_degree, 1))
-        scatter_add(state.next, page, np.full(page.num_edges, contrib),
-                    db=ctx.db)
-        return PageWork(
-            num_records=1,
-            active_vertices=1,
-            edges_traversed=page.num_edges,
-            lane_steps=ctx.lane_steps(page.degrees()),
-        )
+        if batch.num_segments:
+            sums = np.add.reduceat(
+                contrib[batch.scatter_rec()], batch.seg_starts)
+            np.add.at(state.next, batch.seg_targets, sums)
+        return BatchWork.full_scan(batch, ctx)

@@ -1,4 +1,4 @@
-"""Single-Source Shortest Path kernels (BFS-like family, Appendix D).
+"""Single-Source Shortest Path kernel (BFS-like family, Appendix D).
 
 Level-synchronous Bellman–Ford: each round relaxes the out-edges of every
 vertex whose distance improved in the previous round, and the next round's
@@ -15,13 +15,7 @@ databases fall back to unit weights, making SSSP coincide with BFS depth.
 
 import numpy as np
 
-from repro.core.kernels.base import (
-    BatchWork,
-    Kernel,
-    PageWork,
-    RoundPlan,
-    edge_expand,
-)
+from repro.core.kernels.base import BatchWork, Kernel, RoundPlan
 from repro.errors import ConfigurationError
 
 INFINITY = np.float32(np.inf)
@@ -80,76 +74,32 @@ class SSSPKernel(Kernel):
         state.dist_prev = state.dist.copy()
         if merged_next_pids is None:
             merged_next_pids = np.empty(0, dtype=np.int64)
-        # Keep only pages that actually contain an improved vertex; the
-        # per-page next_pids over-approximate (a candidate distance may
-        # lose the min race to a better one from another page).
+        # Keep only pages that address an improved vertex; next_pids
+        # over-approximate (a candidate may lose the min race to a
+        # better one).  Both sides use the addressing page (the first
+        # large page for a large vertex), so no page is decoded here.
         if len(merged_next_pids):
-            db = state.db
-            keep = []
-            for pid in merged_next_pids:
-                page = db.page(int(pid))
-                vids = page.vids()
-                if improved[vids].any():
-                    keep.append(pid)
-            merged_next_pids = np.asarray(keep, dtype=np.int64)
+            merged_next_pids = np.intersect1d(
+                merged_next_pids,
+                state.db.vertex_page[np.flatnonzero(improved)])
         state.frontier_pids = merged_next_pids
 
     def results(self, state):
         return {"distance": state.dist.copy()}
 
     # ------------------------------------------------------------------
-    def _relax(self, page, state, ctx, active_mask, source_dists):
-        targets, target_pids, weights, sources_idx = edge_expand(
-            page, active_mask)
-        if weights is None:
-            weights = np.ones(len(targets), dtype=np.float32)
-        candidates = source_dists[sources_idx] + weights
-        better = candidates < state.dist[targets]
-        # Commutative min update; np.minimum.at handles duplicate targets.
-        np.minimum.at(state.dist, targets[better], candidates[better])
-        next_pids = np.unique(target_pids[better])
-        return PageWork(
-            num_records=page.num_records,
-            active_vertices=int(active_mask.sum()),
-            edges_traversed=int(len(targets)),
-            lane_steps=ctx.lane_steps(page.degrees(), active_mask),
-            next_pids=next_pids,
-        )
-
-    def process_sp(self, page, state, ctx):
-        vids = page.vids()
-        active = state.frontier[vids]
-        source_dists = state.dist_prev[vids]
-        return self._relax(page, state, ctx, active, source_dists)
-
-    def process_lp(self, page, state, ctx):
-        active = np.asarray([state.frontier[page.vid]])
-        source_dists = np.asarray([state.dist_prev[page.vid]],
-                                  dtype=np.float32)
-        return self._relax(page, state, ctx, active, source_dists)
-
     def process_batch(self, batch, state, ctx):
         active = state.frontier[batch.rec_vids]
-        edge_active = active[batch.edge_rec]
-        sources = batch.rec_vids[batch.edge_rec[edge_active]]
-        targets = batch.adj_vids[edge_active]
+        edge_active, sources, targets = batch.advance(active)
         if batch.adj_weights is not None:
             weights = batch.adj_weights[edge_active]
         else:
             weights = np.ones(len(targets), dtype=np.float32)
         candidates = state.dist_prev[sources] + weights
-        # "Better" against the round-start distances.  The per-page loop
-        # compares against the live vector, so it may skip candidates a
-        # previous page already beat — but the min-combine makes the
-        # final distances identical, and a beaten candidate's page is
-        # added to the union by whichever page beat it (same target,
-        # same physical page), so next_pids match too.
-        better = candidates < state.dist[targets]
+        # "Better" against the round-start distances (no write has
+        # happened yet); the min-combine is order-free.
+        better = candidates < state.dist_prev[targets]
         np.minimum.at(state.dist, targets[better], candidates[better])
         next_pids = np.unique(batch.adj_pids[edge_active][better])
-        return BatchWork(
-            lane_steps=ctx.segment_lane_steps(batch, active),
-            edges_traversed=batch.edge_segment_sum(edge_active),
-            active_vertices=batch.segment_sum(active),
-            next_pids=next_pids,
-        )
+        return BatchWork.frontier(batch, ctx, active, edge_active,
+                                  next_pids)

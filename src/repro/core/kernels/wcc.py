@@ -1,4 +1,4 @@
-"""Connected Components kernels (PageRank-like family, Appendix D).
+"""Connected Components kernel (PageRank-like family, Appendix D).
 
 Label propagation to a fixpoint: every vertex starts with its own ID as a
 label; each round every vertex pushes its label along its out-edges and a
@@ -18,14 +18,7 @@ previous round's label snapshot, so updates are commutative mins.
 
 import numpy as np
 
-from repro.core.kernels.base import (
-    ALL_PAGES,
-    BatchWork,
-    Kernel,
-    PageWork,
-    RoundPlan,
-    scatter_min,
-)
+from repro.core.kernels.base import ALL_PAGES, BatchWork, Kernel, RoundPlan
 from repro.errors import ConfigurationError
 
 
@@ -73,28 +66,6 @@ class WCCKernel(Kernel):
         return {"component": state.labels.copy()}
 
     # ------------------------------------------------------------------
-    def process_sp(self, page, state, ctx):
-        degrees = page.degrees()
-        per_edge = np.repeat(state.labels_prev[page.vids()], degrees)
-        scatter_min(state.labels, page, per_edge, db=ctx.db)
-        return PageWork(
-            num_records=page.num_records,
-            active_vertices=page.num_records,
-            edges_traversed=page.num_edges,
-            lane_steps=ctx.lane_steps(degrees),
-        )
-
-    def process_lp(self, page, state, ctx):
-        per_edge = np.full(page.num_edges, state.labels_prev[page.vid],
-                           dtype=np.int64)
-        scatter_min(state.labels, page, per_edge, db=ctx.db)
-        return PageWork(
-            num_records=1,
-            active_vertices=1,
-            edges_traversed=page.num_edges,
-            lane_steps=ctx.lane_steps(page.degrees()),
-        )
-
     def process_batch(self, batch, state, ctx):
         if batch.num_segments:
             # One gather: labels_prev[rec_vids][edge_rec][scatter_order]
@@ -102,8 +73,4 @@ class WCCKernel(Kernel):
             mins = np.minimum.reduceat(
                 state.labels_prev[batch.scatter_vids()], batch.seg_starts)
             np.minimum.at(state.labels, batch.seg_targets, mins)
-        return BatchWork(
-            lane_steps=ctx.segment_lane_steps(batch),
-            edges_traversed=batch.edges_per_page(),
-            active_vertices=batch.records_per_page(),
-        )
+        return BatchWork.full_scan(batch, ctx)

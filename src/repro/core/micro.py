@@ -130,8 +130,8 @@ def lane_steps(technique, degrees, active_mask=None):
 # array of per-page lane-steps.  Every quantity involved is an
 # integer-valued float64 (ceil sums, warp maxima), so the vectorized
 # reductions are bit-identical to calling the per-page functions in a
-# loop — that exactness is what lets the batched execution path report
-# the same simulated timings as the paged one.
+# loop — the batched rounds report exactly the simulated timings a
+# page-at-a-time kernel would.
 # ----------------------------------------------------------------------
 
 def _segment_float_sum(values, indptr):

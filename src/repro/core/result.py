@@ -57,10 +57,6 @@ class RunResult:
     #: for eager in-memory databases).
     pool_hits: int = 0
     pool_misses: int = 0
-    #: Database-level sorted-scatter index counters (full-scan kernels
-    #: and plan builds; a hit means an argsort was skipped).
-    scatter_hits: int = 0
-    scatter_misses: int = 0
     #: Cross-query shared-cache traffic observed during this run (zero
     #: unless a :class:`~repro.core.cache.SharedPageCache` was attached;
     #: a hit means a disk read *and* a byte-level parse were skipped).
@@ -86,8 +82,10 @@ class RunResult:
     num_streams: int = 1
     strategy: str = ""
     cache_policy: str = "lru"
-    #: Which round-execution path actually ran: "paged" or "batched".
-    execution: str = "paged"
+    #: The round-execution path: always "batched" (every round is one
+    #: ``process_batch`` call); kept so result consumers and recorded
+    #: fingerprints keep their shape.
+    execution: str = "batched"
     engine: str = "GTS"
     notes: Optional[str] = None
     #: Figure 4-style ASCII stream timeline (populated when the engine
@@ -239,8 +237,6 @@ class RunResult:
             "pool_hits": self.pool_hits,
             "pool_misses": self.pool_misses,
             "pool_hit_rate": self.pool_hit_rate,
-            "scatter_hits": self.scatter_hits,
-            "scatter_misses": self.scatter_misses,
             "shared_hits": self.shared_hits,
             "shared_misses": self.shared_misses,
             "shared_hit_rate": self.shared_hit_rate,

@@ -138,7 +138,7 @@ class StreamScheduler:
 
     def dispatch_round(self, page_ids, assignments, copy_bytes, lane_steps,
                        cycles_per_lane_step, caches, wa_ready, round_start,
-                       fetch, stats):
+                       fetch, stats, per_call=False):
         """Book a whole round of pages from precomputed per-page arrays.
 
         ``assignments`` is the strategy's per-page GPU tuple list,
@@ -147,13 +147,15 @@ class StreamScheduler:
         are deduped), ``fetch(pid)`` resolves a page's main-memory ready
         time, and ``stats`` is the round's :class:`RoundStats`.  Cache
         lookups and admits are resolved in bulk per GPU first (their
-        decisions are time-independent).  Traced rounds then book page
-        by page through the per-call helpers, the reference path;
-        untraced rounds resolve every miss's ready time first and book
+        decisions are time-independent).  Traced rounds, and rounds the
+        engine flags ``per_call`` because a fault will fire in them,
+        then book page by page through the per-call helpers — the
+        reference path, where copy-error and stall injection live;
+        other rounds resolve every miss's ready time first and book
         each GPU's pages in page order.  Either way every stateful
         timeline (copy engines, stream slots, MM buffer, storage
-        channels) books the same intervals as the per-page path and the
-        simulated clock comes out bit-identical.
+        channels) books the same intervals and the simulated clock
+        comes out bit-identical.
         """
         if self.host_profiler is not None:
             self.host_profiler.push("dispatch")
@@ -161,17 +163,17 @@ class StreamScheduler:
                 return self._dispatch_round(
                     page_ids, assignments, copy_bytes, lane_steps,
                     cycles_per_lane_step, caches, wa_ready, round_start,
-                    fetch, stats)
+                    fetch, stats, per_call)
             finally:
                 self.host_profiler.pop()
         return self._dispatch_round(
             page_ids, assignments, copy_bytes, lane_steps,
             cycles_per_lane_step, caches, wa_ready, round_start, fetch,
-            stats)
+            stats, per_call)
 
     def _dispatch_round(self, page_ids, assignments, copy_bytes,
                         lane_steps, cycles_per_lane_step, caches,
-                        wa_ready, round_start, fetch, stats):
+                        wa_ready, round_start, fetch, stats, per_call):
         runtime = self.runtime
         num_gpus = runtime.num_gpus
         earliest = [max(round_start, wa_ready[g]) for g in range(num_gpus)]
@@ -188,7 +190,8 @@ class StreamScheduler:
         ]
         steps_arr = np.asarray(lane_steps, dtype=np.float64)
         bytes_arr = np.asarray(copy_bytes, dtype=np.float64)
-        if runtime.recorder is None and not runtime.tracing:
+        if (runtime.recorder is None and not runtime.tracing
+                and not per_call):
             page_ready = self._resolve_fetches(pids, sequences, hit_lists,
                                                fetch)
             self._book_round_fast(

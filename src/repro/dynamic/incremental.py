@@ -24,10 +24,9 @@ with all its caching, scheduling and observability intact.
 
 import numpy as np
 
-from repro.core.kernels.base import Kernel, PageWork, RoundPlan, edge_expand
+from repro.core.kernels.base import BatchWork, Kernel, RoundPlan
 from repro.core.kernels.bfs import UNVISITED
 from repro.errors import UpdateError
-from repro.format.page import PageKind
 
 
 def insert_seeds(batches):
@@ -44,13 +43,6 @@ def insert_seeds(batches):
                 "rerun from scratch after deletions")
         seeds.extend(op[1] for op in batch.ops if op[0] == "+")
     return np.unique(np.asarray(seeds, dtype=np.int64))
-
-
-def _record_vids(page, sources_idx):
-    """Logical VIDs of per-edge source records."""
-    if page.kind is PageKind.SMALL:
-        return page.start_vid + sources_idx
-    return np.full(len(sources_idx), page.vid, dtype=np.int64)
 
 
 class _RelaxState:
@@ -113,33 +105,23 @@ class _IncrementalRelaxKernel(Kernel):
             merged_next_pids = np.empty(0, dtype=np.int64)
         state.frontier_pids = merged_next_pids
 
-    def _relax(self, page, state, ctx, active_mask):
-        targets, target_pids, _, sources_idx = edge_expand(
-            page, active_mask)
-        src_vids = _record_vids(page, sources_idx)
-        candidates = self._candidates(state.values[src_vids])
-        improved = candidates < state.values[targets]
+    def process_batch(self, batch, state, ctx):
+        values = state.values
+        # Every read below happens before the min-combine, so the round
+        # sees only values committed by earlier rounds (BSP): round and
+        # edge counts do not depend on page order.
+        record_values = values[batch.rec_vids]
+        active = state.pending[batch.rec_vids] & self._can_relax(
+            record_values)
+        edge_active, sources, targets = batch.advance(active)
+        candidates = self._candidates(values[sources])
+        improved = candidates < values[targets]
         hit_targets = targets[improved]
-        np.minimum.at(state.values, hit_targets, candidates[improved])
+        np.minimum.at(values, hit_targets, candidates[improved])
         state.next_pending[hit_targets] = True
-        next_pids = np.unique(target_pids[improved])
-        return PageWork(
-            num_records=page.num_records,
-            active_vertices=int(active_mask.sum()),
-            edges_traversed=int(len(targets)),
-            lane_steps=ctx.lane_steps(page.degrees(), active_mask),
-            next_pids=next_pids,
-        )
-
-    def process_sp(self, page, state, ctx):
-        active = (state.pending[page.vids()]
-                  & self._can_relax(state.values[page.vids()]))
-        return self._relax(page, state, ctx, active)
-
-    def process_lp(self, page, state, ctx):
-        active = (state.pending[page.vid:page.vid + 1]
-                  & self._can_relax(state.values[page.vid:page.vid + 1]))
-        return self._relax(page, state, ctx, active)
+        next_pids = np.unique(batch.adj_pids[edge_active][improved])
+        return BatchWork.frontier(batch, ctx, active, edge_active,
+                                  next_pids)
 
 
 class IncrementalBFSKernel(_IncrementalRelaxKernel):

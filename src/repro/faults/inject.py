@@ -11,7 +11,7 @@ tests rely on:
   when call order changes).
 * **Probe-ability** — the engine can ask *"will any fault fire in this
   round?"* (:meth:`FaultInjector.round_faulted`) before committing to
-  the vectorized batched dispatch path, and the answer is guaranteed to
+  the vectorized booking of a round, and the answer is guaranteed to
   agree with what the per-page injection points would actually do,
   because both evaluate the identical hash on the identical key.
 
@@ -242,7 +242,8 @@ class FaultInjector:
         self.backoff_seconds += backoff
 
     def note_fallback(self):
-        """Record one batched round degraded to the paged path."""
+        """Record one round booked page by page because a fault fires
+        in it (its compute stays one batch)."""
         self.fallback_rounds += 1
 
     def note_device_lost(self):

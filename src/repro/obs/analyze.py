@@ -162,7 +162,6 @@ class RoundProfile:
 
     round_index: int
     description: str
-    execution: str  #: "paged" / "batched" ("" for pre-PR-5 traces)
     start: float
     end: float
     category_seconds: Dict[str, float]
@@ -178,7 +177,6 @@ class RoundProfile:
         return {
             "round_index": self.round_index,
             "description": self.description,
-            "execution": self.execution,
             "start": self.start,
             "end": self.end,
             "elapsed": self.elapsed,
@@ -455,7 +453,6 @@ def analyze_trace(source, time_scale=None) -> TraceAnalysis:
         rounds.append(RoundProfile(
             round_index=int(args.get("round", len(rounds))),
             description=str(args.get("description", "")),
-            execution=str(args.get("execution", "")),
             start=_seconds(start), end=_seconds(end),
             category_seconds={c: _seconds(v)
                               for c, v in sorted(per_category.items())},

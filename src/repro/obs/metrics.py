@@ -221,8 +221,8 @@ def collect_run_metrics(result, registry=None):
     registry.meta.setdefault("strategy", result.strategy)
     registry.meta.setdefault("num_gpus", result.num_gpus)
     registry.meta.setdefault("num_streams", result.num_streams)
-    # Which round-execution path actually ran — history records must be
-    # self-describing, and paged-vs-batched is a different hot path.
+    # The round-execution path, so history records stay comparable
+    # with the ones written while a per-page path still existed.
     registry.meta.setdefault("execution", result.execution)
 
     registry.gauge("run.elapsed_seconds",
@@ -257,17 +257,6 @@ def collect_run_metrics(result, registry=None):
                          "host page-pool misses (file-backed DB)"
                          ).inc(result.pool_misses)
         registry.gauge("pool.hit_rate").set(result.pool_hit_rate)
-    if result.scatter_hits or result.scatter_misses:
-        registry.counter("scatter_index.hits",
-                         "db-level sorted-scatter index hits"
-                         ).inc(result.scatter_hits)
-        registry.counter("scatter_index.misses",
-                         "db-level sorted-scatter index misses "
-                         "(argsort recomputed)"
-                         ).inc(result.scatter_misses)
-        total = result.scatter_hits + result.scatter_misses
-        registry.gauge("scatter_index.hit_rate").set(
-            result.scatter_hits / total)
     if result.shared_hits or result.shared_misses:
         registry.counter("shared_cache.hits",
                          "cross-query shared-cache hits (disk read + "
@@ -299,7 +288,8 @@ def collect_run_metrics(result, registry=None):
                          "host reads re-read after checksum mismatch"
                          ).inc(fs.get("integrity_retries", 0))
         registry.counter("faults.fallback_rounds",
-                         "batched rounds degraded to the paged path"
+                         "rounds booked page by page because a fault "
+                         "fired in them"
                          ).inc(fs.get("fallback_rounds", 0))
         registry.counter("faults.devices_lost").inc(
             fs.get("devices_lost", 0))

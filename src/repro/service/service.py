@@ -11,9 +11,8 @@ host-side caches that PRs 1-6 rebuilt per run:
 * one :class:`~repro.core.plan.RoundPlanCache` per database — the
   batched execution path's flat-array plan is built once per topology
   version instead of once per engine;
-* the database's own scatter-index cache and (for file-backed handles)
-  page pool, which the :mod:`repro.concurrency` locks made safe to
-  share.
+* (for file-backed handles) the database's page pool, which the
+  :mod:`repro.concurrency` locks made safe to share.
 
 Admission control keeps the service honest under load: at most
 ``max_in_flight`` queries execute at once on a thread pool, at most
@@ -90,6 +89,8 @@ ENGINE_OPTIONS = {
     "num_streams": 16,
     "num_gpus": 2,
     "num_ssds": 2,
+    # Accepted for older clients ("auto"/"batched"); every round runs
+    # as one batch and "paged" is rejected (HTTP 400).
     "execution": "auto",
     "micro_technique": "edge",
     "enable_caching": True,
@@ -209,8 +210,6 @@ class _ServedDatabase:
         }
         if hasattr(db, "mvcc_stats"):
             out["mvcc"] = db.mvcc_stats()
-        if hasattr(db, "scatter_lock_stats"):
-            out["scatter_lock"] = db.scatter_lock_stats()
         # Dynamic wrappers keep the page pool on their file-backed base.
         pooled = (db if hasattr(db, "pool_lock_stats")
                   else getattr(db, "_base", None))

@@ -91,13 +91,14 @@ class TestRecoverableFaults:
 
 class TestBatchedDegradation:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_faulted_rounds_fall_back_to_paged(self, rmat_db, machine,
-                                               seed):
-        clean = _run(rmat_db, machine, PageRankKernel(iterations=3),
-                     execution="batched")
+    def test_faulted_rounds_book_page_by_page(self, rmat_db, machine,
+                                              seed):
+        """A round in which a fault fires keeps its one batched compute
+        call but books through the per-call path (counted in
+        ``fallback_rounds``), where injection and retry live."""
+        clean = _run(rmat_db, machine, PageRankKernel(iterations=3))
         faulted = _run(rmat_db, machine, PageRankKernel(iterations=3),
-                       execution="batched", faults=RECOVERABLE,
-                       fault_seed=seed)
+                       faults=RECOVERABLE, fault_seed=seed)
         _assert_same_values(faulted, clean)
         assert faulted.fault_stats["fallback_rounds"] > 0
         assert faulted.elapsed_seconds > clean.elapsed_seconds

@@ -23,7 +23,6 @@ from repro.errors import ConfigurationError
 from repro.format import PageFormatConfig, build_database
 from repro.graphgen import generate_rmat
 from repro.graphgen.random_graphs import generate_ring, generate_star
-from repro.units import KB
 
 
 def _run(db, machine, kernel, **kwargs):
@@ -139,6 +138,34 @@ class TestSSSP:
     def test_start_validated(self, weighted_db, machine):
         with pytest.raises(ConfigurationError):
             _run(weighted_db, machine, SSSPKernel(start_vertex=10 ** 9))
+
+    def test_frontier_filter_matches_page_decoding(self, machine):
+        """The next frontier keeps exactly the candidate pages that hold
+        an improved vertex — what decoding each candidate page would
+        give — on a graph with many large pages (hubs spanning runs)."""
+        graph = generate_rmat(10, edge_factor=16, seed=5)
+        graph = graph.with_random_weights(seed=5)
+        db = build_database(graph, PageFormatConfig(
+            2, 2, 512, weight_bytes=4))
+        assert db.num_large_pages >= 20
+        checked = []
+
+        class CheckedSSSP(SSSPKernel):
+            def finish_round(self, state, merged_next_pids):
+                improved = state.dist < state.dist_prev
+                expected = [pid for pid in merged_next_pids
+                            if improved[db.page(int(pid)).vids()].any()]
+                super().finish_round(state, merged_next_pids)
+                np.testing.assert_array_equal(state.frontier_pids,
+                                              expected)
+                checked.append(len(expected))
+
+        for start in (int(np.argmax(graph.out_degrees())), 1, 77):
+            result = _run(db, machine, CheckedSSSP(start_vertex=start))
+            np.testing.assert_allclose(
+                result.values["distance"],
+                reference.sssp_distances(graph, start), rtol=1e-6)
+        assert len(checked) >= 10 and sum(checked) > 0
 
 
 class TestWCC:

@@ -9,6 +9,7 @@ from repro.core.micro import (
     WARP_SIZE,
     edge_centric_lane_steps,
     lane_steps,
+    segment_lane_steps,
     vertex_centric_lane_steps,
 )
 from repro.errors import ConfigurationError
@@ -128,3 +129,26 @@ def test_hybrid_never_worse_than_either(degrees):
     hybrid = lane_steps("hybrid", degrees)
     assert hybrid <= lane_steps("edge", degrees) + 1e-9
     assert hybrid <= lane_steps("vertex", degrees) + 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 300), min_size=0, max_size=40),
+                min_size=1, max_size=12),
+       st.sampled_from(["edge", "vertex", "hybrid"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_segment_lane_steps_match_per_page_reference(pages, technique,
+                                                     seed):
+    """The per-page :func:`lane_steps` is the model; the segment form
+    the kernels use must reproduce it bit for bit on every page of a
+    flat page-major batch, with and without an active mask."""
+    degrees = np.asarray([d for page in pages for d in page],
+                         dtype=np.int64)
+    indptr = np.zeros(len(pages) + 1, dtype=np.int64)
+    np.cumsum([len(page) for page in pages], out=indptr[1:])
+    active = np.random.default_rng(seed).random(len(degrees)) < 0.5
+    for mask in (None, active):
+        got = segment_lane_steps(technique, degrees, indptr, mask)
+        want = [lane_steps(technique, degrees[lo:hi],
+                           None if mask is None else mask[lo:hi])
+                for lo, hi in zip(indptr[:-1], indptr[1:])]
+        assert got.tolist() == [float(w) for w in want]

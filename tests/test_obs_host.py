@@ -190,7 +190,7 @@ class TestEngineIntegration:
             PageRankKernel(iterations=3))
         assert result.host_profile.coverage() >= 0.8
 
-    @pytest.mark.parametrize("execution", ["paged", "batched"])
+    @pytest.mark.parametrize("execution", ["batched"])
     def test_profiling_does_not_change_simulation(self, rmat_db, machine,
                                                   execution):
         plain = GTSEngine(rmat_db, machine, execution=execution).run(

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core import GTSEngine
+from repro.dynamic import DynamicGraphDatabase, UpdateBatch
 from repro.errors import (
     AdmissionError,
     ConfigurationError,
@@ -47,16 +48,16 @@ from repro.units import KB
 #: cross-query reuse; every workload below fits the test graph.
 POOL_PAGES = 8
 
-#: (algorithm, params, options) — mixed read workloads, both execution
-#: paths, several start vertices.
+#: (algorithm, params, options) — mixed read workloads, engine
+#: options, several start vertices.
 WORKLOADS = [
     ("bfs", {"start": 0}, {}),
-    ("bfs", {"start": 17}, {"execution": "paged"}),
+    ("bfs", {"start": 17}, {"num_streams": 4}),
     ("pagerank", {"iterations": 4}, {}),
-    ("pagerank", {"iterations": 2}, {"execution": "paged"}),
+    ("pagerank", {"iterations": 2}, {"strategy": "scalability"}),
     ("sssp", {"start": 3}, {}),
     ("cc", {}, {}),
-    ("degree", {}, {"execution": "paged"}),
+    ("degree", {}, {"enable_caching": False}),
 ]
 
 
@@ -77,8 +78,7 @@ def _one_shot(prefix, algorithm, params, options):
     """A cold, serial, private-handle reference run."""
     db = FileBackedDatabase(prefix, pool_pages=POOL_PAGES)
     machine = scaled_workstation(num_gpus=2, num_ssds=2)
-    engine = GTSEngine(db, machine,
-                       execution=options.get("execution", "auto"))
+    engine = GTSEngine(db, machine, **options)
     start = params.get("start")
     start = (int(start) if start is not None
              else int(np.argmax(db.out_degrees)))
@@ -143,9 +143,13 @@ class TestConcurrentEquivalence:
         service.add_database(
             "g", db=FileBackedDatabase(db_prefix,
                                        pool_pages=POOL_PAGES))
-        algorithm, params, options = WORKLOADS[1]  # paged bfs
+        algorithm, params, options = WORKLOADS[1]
         cold = service.query("g", algorithm, params=params,
                              options=options)
+        # Plan builds are the page reads left on the query path: force
+        # the rebuild an update would cause, so the warm run reads
+        # every page through the shared cache.
+        service._entry("g").plan_cache.invalidate()
         warm = service.query("g", algorithm, params=params,
                              options=options)
         _assert_matches_reference(cold, references[1])
@@ -158,17 +162,21 @@ class TestConcurrentEquivalence:
                                                          db_prefix):
         """Acceptance gate: the shared cache's hit rate is strictly
         above the per-run-rebuild baseline (capacity 0: identical code
-        path, accounting only, every probe a miss)."""
-        workload = [("bfs", {"start": s}, {"execution": "paged"})
-                    for s in (0, 3, 17, 29)]
+        path, accounting only, every probe a miss).  Page reads happen
+        when a plan is built, so an update commits between query waves:
+        each wave rebuilds its plan at a new topology version, reading
+        the untouched base pages again."""
+        workload = [("bfs", {"start": s}, {}) for s in (0, 3, 17, 29)]
 
         def run(shared_cache_pages):
             service = GraphService(max_in_flight=4,
                                    shared_cache_pages=shared_cache_pages)
-            service.add_database(
-                "g", db=FileBackedDatabase(db_prefix,
-                                           pool_pages=POOL_PAGES))
-            for _ in range(3):
+            service.add_database("g", db=DynamicGraphDatabase(
+                FileBackedDatabase(db_prefix, pool_pages=POOL_PAGES)))
+            for wave in range(3):
+                if wave:
+                    service.update("g", UpdateBatch().insert_edge(
+                        wave, 40 + wave))
                 for algorithm, params, options in workload:
                     service.query("g", algorithm, params=params,
                                   options=options)
@@ -335,7 +343,7 @@ class TestFaultIsolation:
         service.add_database(
             "g", db=FileBackedDatabase(db_prefix,
                                        pool_pages=POOL_PAGES))
-        algorithm, params, options = WORKLOADS[1]  # paged bfs
+        algorithm, params, options = WORKLOADS[1]
         faulted = service.query(
             "g", algorithm, params=params, options=options,
             faults={"host_corrupt_reads": {"0": 1, "2": 1}})
@@ -428,6 +436,19 @@ class TestHTTP:
             "unknown engine option(s): %s (valid: " % option)
         assert server.service.stats()["completed"] == 0
 
+    def test_paged_execution_is_a_typed_400(self, server):
+        body = json.dumps({"database": "g", "algorithm": "bfs",
+                           "options": {"execution": "paged"}}).encode()
+        request = urllib.request.Request(
+            "http://127.0.0.1:%d/query" % server.server_address[1],
+            data=body, headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request)
+        assert excinfo.value.code == 400
+        payload = json.loads(excinfo.value.read())
+        assert payload["type"] == "ConfigurationError"
+        assert "'paged'" in payload["error"]
+
     def test_draining_server_returns_503(self, server):
         server.service.drain(wait=True, timeout=30)
         client = ServiceClient(
@@ -455,7 +476,6 @@ class TestObservability:
         assert latency["p50"] is not None
         assert latency["p99"] >= latency["p50"]
         assert stats["databases"]["g"]["plan_cache"]["builds"] >= 1
-        assert "scatter_lock" in stats["databases"]["g"]
         assert "pool_locks" in stats["databases"]["g"]
         json.dumps(stats)  # snapshot must be JSON-clean
         registry = collect_service_metrics(service)
