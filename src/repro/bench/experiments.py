@@ -11,8 +11,6 @@ Elapsed times are simulated seconds at 1/8192 scale; multiply by 8192 for
 paper-equivalent seconds (ratios are scale-invariant).
 """
 
-import dataclasses
-
 import numpy as np
 
 from repro.baselines.cpu import (
@@ -44,7 +42,6 @@ from repro.bench.datasets import (
 )
 from repro.bench.harness import (
     NOT_AVAILABLE,
-    OOM,
     ExperimentTable,
     format_cell,
     run_or_oom,
@@ -59,14 +56,14 @@ from repro.core import (
 )
 from repro.core.cache import PageCache
 from repro.errors import CapacityError
-from repro.format import SIX_BYTE_CONFIGS, PageFormatConfig, build_database
+from repro.format import SIX_BYTE_CONFIGS, build_database
 from repro.graphgen import generate_rmat
 from repro.hardware.specs import (
     HDD_SPEC,
     SSD_SPEC,
     scaled_workstation,
 )
-from repro.units import KB, MB, format_bytes
+from repro.units import MB, format_bytes
 
 #: Default iteration count for PageRank experiments (the paper uses 10).
 PAGERANK_ITERATIONS = 10
@@ -357,7 +354,6 @@ def figure4_timelines(name="rmat27", num_streams=16):
     PageRank is denser than that for BFS since PageRank is
     computationally intensive, whereas BFS is not".
     """
-    from repro.hardware.trace import timeline_density
     graph = dataset_graph(name)
     table = ExperimentTable(
         "Figure 4: stream timelines (%s, %d streams)"

@@ -21,7 +21,6 @@ Equation 2 (BFS-like)::
 """
 
 import dataclasses
-from typing import Sequence
 
 from repro.errors import ConfigurationError
 

@@ -30,7 +30,7 @@ import dataclasses
 from typing import Tuple
 
 from repro.errors import ConfigurationError
-from repro.units import GB, MB, TB
+from repro.units import GB, TB
 
 
 @dataclasses.dataclass(frozen=True)

@@ -35,7 +35,7 @@ back-pressure comes from the service, not from the socket listener.
 
 With telemetry enabled, successful query responses carry an
 ``X-Query-Id`` correlation header, the handler *defers* trace
-completion so the response-rendering time lands in the request's
+completion so encoding and sending the response land in the request's
 ``serialize`` span, and 504 bodies include the ``query_id`` so a
 timed-out request can be matched to its tail-captured trace in the
 slow-query ring.
@@ -57,6 +57,36 @@ from repro.service.service import QueryRequest
 #: an oversized body is rejected before being read into memory.
 MAX_BODY_BYTES = 1 << 20
 
+JSON = "application/json"
+
+
+def _json(payload):
+    """A JSON response body (sorted keys: equal payloads, equal bytes)."""
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+def _error_reply(error, request):
+    """``(status, body, headers)`` for a request that raised ``error``."""
+    body = {"error": str(error), "type": type(error).__name__}
+    if isinstance(error, AdmissionError):
+        body.update(queue_depth=error.queue_depth,
+                    in_flight=error.in_flight,
+                    max_in_flight=error.max_in_flight,
+                    max_queue=error.max_queue)
+        return 429, body, {"Retry-After": "1"}
+    if isinstance(error, ShutdownError):
+        return 503, body, None
+    if isinstance(error, DeadlineError):
+        # 504: the query ran, but past its caller-supplied budget.
+        body.update(timeout_ms=error.timeout_ms,
+                    elapsed_seconds=error.elapsed_seconds,
+                    rounds_completed=error.rounds_completed)
+        if request is not None and request.query_id is not None:
+            body["query_id"] = request.query_id
+        return 504, body, None
+    # Other typed errors are the caller's; anything else is ours.
+    return (400 if isinstance(error, GTSError) else 500), body, None
+
 
 class ServiceRequestHandler(BaseHTTPRequestHandler):
     """Maps HTTP requests onto the owning server's GraphService."""
@@ -64,6 +94,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     #: Quiet by default; ``python -m repro serve --verbose`` flips this.
     log_requests = False
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY, and a buffered writer :meth:`_send` flushes once
+    #: per response: with Nagle on, a body sent after its headers waited
+    #: for the client's delayed ACK of them (~40 ms on Linux).
+    disable_nagle_algorithm = True
+    wbufsize = -1
 
     # ------------------------------------------------------------------
     def log_message(self, format, *args):
@@ -71,122 +106,86 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         if self.log_requests:
             BaseHTTPRequestHandler.log_message(self, format, *args)
 
-    def _send_json(self, status, payload, extra_headers=None):
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    def handle_expect_100(self):
+        """Send ``100 Continue`` now, not with the final response."""
+        ok = BaseHTTPRequestHandler.handle_expect_100(self)
+        self.wfile.flush()
+        return ok
+
+    def _send(self, status, content_type, body, extra_headers=None):
+        """Send one response: status line, headers and body leave in
+        one flush of the buffered writer."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for key, value in (extra_headers or {}).items():
             self.send_header(key, value)
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()
 
     # ------------------------------------------------------------------
     def do_GET(self):
         service = self.server.service
-        if self.path == "/healthz":
-            self._send_json(200, {"status": "ok",
-                                  "draining": service.draining})
-        elif self.path == "/stats":
-            self._send_json(200, service.stats())
-        elif self.path == "/metrics":
+        if self.path == "/metrics":
             from repro.obs.exporters import PROMETHEUS_CONTENT_TYPE
-            body = service.metrics_text().encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", PROMETHEUS_CONTENT_TYPE)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self._send(200, PROMETHEUS_CONTENT_TYPE,
+                       service.metrics_text().encode("utf-8"))
+        elif self.path == "/healthz":
+            self._send(200, JSON, _json({"status": "ok",
+                                         "draining": service.draining}))
+        elif self.path == "/stats":
+            self._send(200, JSON, _json(service.stats()))
         else:
-            self._send_json(404, {"error": "unknown path %r" % self.path})
+            self._send(404, JSON,
+                       _json({"error": "unknown path %r" % self.path}))
 
     def do_POST(self):
         if self.path not in ("/query", "/update"):
-            self._send_json(404, {"error": "unknown path %r" % self.path})
+            self._send(404, JSON,
+                       _json({"error": "unknown path %r" % self.path}))
             return
         length = int(self.headers.get("Content-Length") or 0)
         if length <= 0 or length > MAX_BODY_BYTES:
-            self._send_json(400, {"error": "body must be 1..%d bytes"
-                                           % MAX_BODY_BYTES})
+            self._send(400, JSON, _json({"error": "body must be 1..%d bytes"
+                                                  % MAX_BODY_BYTES}))
             return
         try:
             payload = json.loads(self.rfile.read(length))
         except ValueError:
-            self._send_json(400, {"error": "body is not valid JSON"})
+            self._send(400, JSON, _json({"error": "body is not valid JSON"}))
             return
         include_values = bool(payload.pop("include_values", False)) \
             if isinstance(payload, dict) else False
         service = self.server.service
         tm = service.telemetry
-        trace = None
-        request = None
-        headers = None
+        trace = request = headers = None
+        status = 200
         try:
             if self.path == "/update":
                 response = self._do_update(service, payload)
             else:
                 request = QueryRequest.from_dict(payload)
                 future = service.submit(request)
-                # Take over completion so the serialize span (measured
-                # around _send_json below) lands inside the trace.
+                # Take over completion so the serialize span (timed
+                # around the send below) lands inside the trace.
                 if tm is not None:
                     trace = tm.defer(request.query_id)
                 result = future.result()
                 response = result.to_dict(include_values=include_values)
                 if result.query_id is not None:
                     headers = {"X-Query-Id": result.query_id}
-        except AdmissionError as error:
-            self._send_json(429, {
-                "error": str(error),
-                "type": "AdmissionError",
-                "queue_depth": error.queue_depth,
-                "in_flight": error.in_flight,
-                "max_in_flight": error.max_in_flight,
-                "max_queue": error.max_queue,
-            }, extra_headers={"Retry-After": "1"})
-        except ShutdownError as error:
-            self._send_json(503, {"error": str(error),
-                                  "type": "ShutdownError"})
-        except DeadlineError as error:
-            # 504: the query ran, but past its caller-supplied budget.
-            body = {
-                "error": str(error),
-                "type": "DeadlineError",
-                "timeout_ms": error.timeout_ms,
-                "elapsed_seconds": error.elapsed_seconds,
-                "rounds_completed": error.rounds_completed,
-            }
-            if request is not None and request.query_id is not None:
-                body["query_id"] = request.query_id
-            self._send_json(504, body)
-        except ServiceError as error:
-            self._send_json(400, {"error": str(error),
-                                  "type": "ServiceError"})
-        except GTSError as error:
-            self._send_json(400, {"error": str(error),
-                                  "type": type(error).__name__})
-        except Exception as error:  # pragma: no cover - defensive
-            self._send_json(500, {"error": str(error),
-                                  "type": type(error).__name__})
-        else:
+        except Exception as error:
+            status, response, headers = _error_reply(error, request)
+        try:
+            start_ns = trace.now() if trace is not None else None
+            self._send(status, JSON, _json(response), headers)
             if trace is not None:
-                start_ns = trace.now()
-                self._send_json(200, response, extra_headers=headers)
                 trace.add_phase("serialize", start_ns, trace.now())
-                trace = self._complete(tm, trace)
-                return
-            self._send_json(200, response, extra_headers=headers)
         finally:
-            # Error paths (and the defensive case where _send_json
-            # itself raised) still finalize the deferred trace.
-            self._complete(tm, trace)
-
-    @staticmethod
-    def _complete(tm, trace):
-        """Finalize a deferred trace (idempotent); returns ``None``."""
-        if trace is not None:
-            tm.complete(trace)
-        return None
+            # A send that raised still finalizes the deferred trace.
+            if trace is not None:
+                tm.complete(trace)
 
     @staticmethod
     def _do_update(service, payload):

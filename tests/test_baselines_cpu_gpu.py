@@ -22,7 +22,7 @@ from repro.baselines.gpu import (
 from repro.errors import OutOfMemoryError
 from repro.graphgen import generate_rmat
 from repro.hardware.specs import GPUSpec
-from repro.units import GB, MB
+from repro.units import GB
 
 CPU_ENGINES = [MTGLEngine, GaloisEngine, LigraEngine, LigraPlusEngine]
 

@@ -1,6 +1,5 @@
 """Tests for the experiment harness: datasets, tables, runners."""
 
-import numpy as np
 import pytest
 
 from repro.bench.datasets import (

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import FormatError
 from repro.format import PageFormatConfig, build_database
 from repro.format.page import PageKind
-from repro.graphgen import Graph, generate_erdos_renyi, generate_rmat
+from repro.graphgen import Graph, generate_erdos_renyi
 from repro.graphgen.random_graphs import generate_star
 from repro.units import KB
 

@@ -1,7 +1,5 @@
 """Tests for the ASCII bar-chart renderer."""
 
-import pytest
-
 from repro.bench.charts import BAR, chart_from_results, render_bar_chart
 
 

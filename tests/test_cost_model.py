@@ -11,7 +11,6 @@ from repro.core.cost_model import (
     pagerank_like_cost,
 )
 from repro.errors import ConfigurationError
-from repro.hardware.specs import scaled_workstation
 from repro.units import GB, MB
 
 

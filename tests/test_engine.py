@@ -14,20 +14,15 @@ from repro.core import (
     BFSKernel,
     GTSEngine,
     PageRankKernel,
-    SSSPKernel,
 )
 from repro.errors import CapacityError, ConfigurationError, OutOfMemoryError
-from repro.format import PageFormatConfig, build_database
-from repro.graphgen import generate_rmat
 from repro.hardware.specs import (
     GPUSpec,
     MachineSpec,
-    PCIeSpec,
     SSD_SPEC,
-    paper_workstation,
     scaled_workstation,
 )
-from repro.units import KB, MB
+from repro.units import MB
 
 
 def _levels(db, machine, **kwargs):

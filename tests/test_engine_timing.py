@@ -1,14 +1,13 @@
 """Discrete-event timing properties: the shapes behind the paper's
 figures, asserted as inequalities on simulated elapsed time."""
 
-import numpy as np
 import pytest
 
 from repro.core import BFSKernel, GTSEngine, PageRankKernel
 from repro.core.cost_model import inputs_from_run, pagerank_like_cost
 from repro.format import build_database
 from repro.graphgen import generate_rmat
-from repro.hardware.specs import HDD_SPEC, SSD_SPEC, scaled_workstation
+from repro.hardware.specs import HDD_SPEC, scaled_workstation
 
 
 def _elapsed(db, machine, kernel, **kwargs):

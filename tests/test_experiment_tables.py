@@ -1,7 +1,5 @@
 """Structural tests for the experiment functions (fast subsets only)."""
 
-import pytest
-
 from repro.bench import experiments
 
 

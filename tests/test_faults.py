@@ -11,8 +11,8 @@ import pytest
 from repro.errors import (ConfigurationError, DeviceLostError, FaultError,
                           GTSError, IntegrityError, RetryExhaustedError,
                           SimulationError)
-from repro.faults import (DEFAULT_RETRY_POLICY, FaultInjector, FaultPlan,
-                          READ_OK, RetryPolicy)
+from repro.faults import (FaultInjector, FaultPlan, READ_OK,
+                          RetryPolicy)
 from repro.format.io import FileBackedDatabase, load_database, save_database
 from repro.hardware.storage import StorageArray
 

@@ -10,7 +10,7 @@ from repro.errors import (
 )
 from repro.hardware.machine import MachineRuntime
 from repro.hardware.memory import MainMemoryBuffer
-from repro.hardware.specs import SSD_SPEC, GPUSpec, paper_workstation
+from repro.hardware.specs import SSD_SPEC, paper_workstation
 from repro.hardware.storage import StorageArray
 from repro.units import GB, KB, MB
 

@@ -13,7 +13,6 @@ from repro.hardware.specs import (
     GPUSpec,
     MachineSpec,
     SSD_SPEC,
-    scaled_workstation,
 )
 from repro.units import MB
 

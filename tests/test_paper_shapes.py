@@ -7,7 +7,6 @@ scaled experiment datasets, so they are slower than unit tests but still
 bounded (seconds each).
 """
 
-import numpy as np
 import pytest
 
 from repro.baselines.cpu import LigraEngine, MTGLEngine, scaled_cpu_host

@@ -11,12 +11,16 @@ around that property.
 """
 
 import dataclasses
+import http.client
 import json
 import os
+import socket
+import statistics
 import subprocess
 import sys
 import textwrap
 import threading
+import time
 import urllib.request
 
 import numpy as np
@@ -40,6 +44,7 @@ from repro.service import (
     GraphService,
     QueryRequest,
     ServiceClient,
+    ServiceRequestHandler,
     make_server,
 )
 from repro.units import KB
@@ -360,22 +365,21 @@ class TestFaultIsolation:
         service.drain()
 
 
-class TestHTTP:
-    @pytest.fixture()
-    def server(self, db_prefix):
-        service = GraphService(max_in_flight=4)
-        service.add_database(
-            "g", db=FileBackedDatabase(db_prefix,
-                                       pool_pages=POOL_PAGES))
-        server = make_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
-        yield server
-        server.shutdown()
-        server.server_close()
-        service.drain()
+@pytest.fixture()
+def server(db_prefix):
+    service = GraphService(max_in_flight=4)
+    service.add_database(
+        "g", db=FileBackedDatabase(db_prefix, pool_pages=POOL_PAGES))
+    server = make_server(service, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    service.drain()
 
+
+class TestHTTP:
     def test_smoke_health_stats_query(self, server, references):
         client = ServiceClient(
             "http://127.0.0.1:%d" % server.server_address[1])
@@ -456,6 +460,50 @@ class TestHTTP:
         with pytest.raises(ShutdownError):
             client.query("g", "bfs")
         assert client.healthz()["draining"] is True
+
+
+class TestTransport:
+    """Responses leave without a transport stall.  Sent as separate
+    header and body writes with Nagle on, every keep-alive response's
+    body waited for the client's delayed ACK (~40 ms on Linux); a fresh
+    connection hides this behind quick-ACK, so only a reused one can
+    show it."""
+
+    def test_keep_alive_round_trips_have_no_stall(self, server):
+        assert ServiceRequestHandler.disable_nagle_algorithm is True
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=30)
+        query = json.dumps({"database": "g", "algorithm": "bfs",
+                            "params": {"start": 0}})
+        requests = ([("GET", "/healthz", None)] * 30
+                    + [("POST", "/query", query)] * 10)
+        round_trips = []
+        try:
+            for method, path, body in requests:
+                start = time.perf_counter()
+                connection.request(method, path, body=body, headers={
+                    "Content-Type": "application/json"})
+                response = connection.getresponse()
+                response.read()
+                round_trips.append(time.perf_counter() - start)
+                assert response.status == 200
+        finally:
+            connection.close()
+        assert statistics.median(round_trips) < 0.010, round_trips
+
+    def test_expect_100_continue_is_answered_before_the_body(
+            self, server):
+        body = json.dumps({"database": "g", "algorithm": "bfs"}).encode()
+        with socket.create_connection(
+                ("127.0.0.1", server.server_address[1]),
+                timeout=5) as sock:
+            sock.sendall(b"POST /query HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Content-Length: %d\r\n"
+                         b"Expect: 100-continue\r\n\r\n" % len(body))
+            assert sock.recv(64).startswith(b"HTTP/1.1 100 Continue")
+            sock.sendall(body)
+            assert sock.recv(4096).startswith(b"HTTP/1.1 200")
 
 
 class TestObservability:

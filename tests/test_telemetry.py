@@ -15,10 +15,14 @@ The load-bearing properties:
 * **query_id propagates** HTTP → service → RunResult → trace record.
 """
 
+import contextlib
+import http.client
 import io
 import json
 import os
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -485,21 +489,37 @@ class TestLatencyQuantiles:
 # ----------------------------------------------------------------------
 # HTTP propagation + serialize span
 # ----------------------------------------------------------------------
+@contextlib.contextmanager
+def serving(service):
+    """Run ``service`` behind a real HTTP server; yields its port."""
+    server = make_server(service, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.drain()
+
+
+def wait_for_requests(service, count, timeout=2.0):
+    """Deferred traces complete after the response is sent: wait
+    (bounded) until ``count`` of them have landed in telemetry."""
+    deadline = time.monotonic() + timeout
+    while (service.stats()["telemetry"]["requests"] < count
+           and time.monotonic() < deadline):
+        time.sleep(0.01)
+
+
 class TestHTTPPropagation:
     @pytest.fixture()
     def served(self, db_prefix, tmp_path):
         ring_dir = str(tmp_path / "ring")
         service = make_service(db_prefix, telemetry=TelemetryConfig(
             slow_ms=0.0, ring_dir=ring_dir))
-        server = make_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
-        base = "http://127.0.0.1:%d" % server.server_address[1]
-        yield service, base, ring_dir
-        server.shutdown()
-        server.server_close()
-        service.drain()
+        with serving(service) as port:
+            yield service, "http://127.0.0.1:%d" % port, ring_dir
 
     def post(self, base, payload):
         request = urllib.request.Request(
@@ -533,6 +553,7 @@ class TestHTTPPropagation:
         service, base, _ = served
         self.post(base, {"database": "g", "algorithm": "bfs",
                          "params": {"start": 0}})
+        wait_for_requests(service, 1)
         with urllib.request.urlopen(base + "/metrics",
                                     timeout=30) as response:
             assert response.headers["Content-Type"].startswith(
@@ -542,6 +563,43 @@ class TestHTTPPropagation:
         assert parsed["gts_service_completed_total"]["samples"][0][1] \
             >= 1.0
         assert "gts_service_window_latency_seconds" in parsed
+
+    def test_request_log_accounts_for_client_wait(self, db_prefix):
+        """A request's logged ``wall_ms`` covers what its client waited
+        for, bar parsing and loopback: the serialize span includes the
+        send, and nothing after it stalls the response."""
+        stream = io.StringIO()
+        service = make_service(db_prefix, telemetry=TelemetryConfig(
+            slow_ms=None, log_stream=stream))
+        client_ms = {}
+        with serving(service) as port:
+            connection = http.client.HTTPConnection("127.0.0.1", port,
+                                                    timeout=30)
+            try:
+                for i in range(20):
+                    query_id = "gap-%d" % i
+                    body = json.dumps({
+                        "database": "g", "algorithm": "bfs",
+                        "params": {"start": 0}, "query_id": query_id})
+                    start = time.perf_counter()
+                    connection.request("POST", "/query", body=body,
+                                       headers={"Content-Type":
+                                                "application/json"})
+                    response = connection.getresponse()
+                    response.read()
+                    client_ms[query_id] = (time.perf_counter()
+                                           - start) * 1e3
+                    assert response.status == 200
+            finally:
+                connection.close()
+            wait_for_requests(service, len(client_ms))
+        logged = {record["query_id"]: record["wall_ms"]
+                  for record in map(json.loads,
+                                    stream.getvalue().splitlines())
+                  if record["event"] == "request"}
+        gaps = [client_ms[query_id] - logged[query_id]
+                for query_id in client_ms]
+        assert statistics.median(gaps) < 5.0, gaps
 
     def test_deadline_body_carries_query_id(self, served):
         service, base, ring_dir = served
